@@ -1,4 +1,5 @@
-"""Validated input vectors shared by every geometry module."""
+"""Validated input vectors and the compensated prefix sum shared by every
+geometry module."""
 
 from __future__ import annotations
 
@@ -12,6 +13,31 @@ TWO_PI = 2.0 * math.pi
 
 #: absolute tolerance on sum(angles) == 2*pi
 ANGLE_SUM_TOL = 1e-12
+
+
+def prefix_sums(marks) -> tuple[list[float], list[float]]:
+    """Compensated running sums of ``marks``, in one O(n) pass.
+
+    Returns lists ``hi``, ``lo`` of length n where hi[j] + lo[j] is the
+    double-double value of marks[0] + ... + marks[j-1] (so hi[0] = lo[0] = 0
+    and the full total is not included).  The pair is renormalized at every
+    step, so hi[j] is the rounded value of hi[j] + lo[j] and |lo[j]| is at
+    most half an ulp of hi[j].  hi[j] is the correctly rounded sum (as
+    math.fsum gives it) unless the exact sum lies within double-double
+    precision of a rounding tie, where it can be one ulp off.  Plain running sums let rounding leak into the
+    short sides of very eccentric polygons.
+    """
+    his, los = [], []
+    hi = lo = 0.0
+    for a in marks:
+        his.append(hi)
+        los.append(lo)
+        t = hi + a  # two-sum: exact error of hi + a goes into lo
+        b = t - hi
+        lo += (hi - (t - b)) + (a - b)
+        hi = t + lo  # renormalize the (hi, lo) pair
+        lo -= hi - t
+    return his, los
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths
+from .domain import TWO_PI, CentralAngles, SideLengths, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
 
@@ -207,21 +207,13 @@ def vertices_on_circle(radius: float, angles) -> np.ndarray:
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     angles = CentralAngles.coerce(angles)
-    # The polar angles are accumulated in double-double precision and the
-    # trig values corrected to first order; plain prefix sums let rounding
-    # leak into the short sides of very eccentric polygons.
-    out = np.empty((angles.n, 2))
-    hi = lo = 0.0
-    for j, a in enumerate(angles.values):
-        c, s = math.cos(hi), math.sin(hi)
-        out[j, 0] = radius * (c - lo * s)
-        out[j, 1] = radius * (s + lo * c)
-        t = hi + a  # two-sum: exact error of hi + a goes into lo
-        b = t - hi
-        lo += (hi - (t - b)) + (a - b)
-        hi = t + lo  # renormalize the (hi, lo) pair
-        lo -= hi - t
-    return out
+    # The polar angles hi + lo are double-double prefix sums, and the trig
+    # values of hi are corrected to first order in lo.
+    hi, lo = prefix_sums(angles.values.tolist())
+    c = np.array([math.cos(h) for h in hi])
+    s = np.array([math.sin(h) for h in hi])
+    lo = np.array(lo)
+    return np.column_stack((radius * (c - lo * s), radius * (s + lo * c)))
 
 
 def polygon_area(vertices) -> float:

@@ -33,7 +33,10 @@ centered on (0, 0, 1) with the first vertex in the x1 x3-plane; horocycle
 marking starts at (0, 0, 1); the hypercycle axis is the geodesic in the
 x1 x3-plane and vertices take x2 = +sinh(R).  When the dominant side is not
 last in caller order, marking starts at the vertex that follows it;
-vertices are always reported in caller side order.
+vertices are always reported in caller side order.  A vertex's parameter
+(horocycle offset or axis coordinate t) is the running sum of the marks
+before it, accumulated in double-double arithmetic in one O(n) pass
+(domain.prefix_sums).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SideLengths
+from .domain import SideLengths, prefix_sums
 from .errors import DomainError, HorocycleDriftWarning, InvariantViolation
 from .euclidean import _require_strict, solve_euclidean
 from .rootfind import RootResult, bisect_newton
@@ -265,8 +268,7 @@ def _build_horocycle(
     cls: HypCurveClass, order: list[int], rot_chords: np.ndarray, iterations: int = 0
 ) -> HyperbolicSolution:
     n = rot_chords.size
-    marks = rot_chords[: n - 1].tolist()
-    offsets = np.array([math.fsum(marks[:j]) for j in range(n)])
+    offsets = np.array(prefix_sums(rot_chords.tolist())[0])
     vertices = np.empty((n, 3))
     for j, s in enumerate(offsets):
         vertices[order[j]] = _horocycle_point(s)
@@ -330,8 +332,7 @@ def solve_hyperbolic(
 
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
     a_rot = 2.0 * np.arcsinh(rot_chords / (2.0 * rbar))
-    marks = a_rot[: n - 1].tolist()
-    t = np.array([math.fsum(marks[:j]) for j in range(n)])
+    t = prefix_sums(a_rot.tolist())[0]
     vertices = np.empty((n, 3))
     for j, tj in enumerate(t):
         vertices[order[j]] = (rbar * math.sinh(tj), sinh_r, rbar * math.cosh(tj))

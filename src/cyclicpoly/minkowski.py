@@ -13,7 +13,9 @@ case, with the side lengths themselves playing the role of chords (the
 ambient plane is already flat), over the full interval (0, inf): Phi tends
 to -inf at 0 and is eventually positive.  Rapidity increments
 a_k = 2 arsinh(l_k / 2R) then place the vertices (R sinh t, R cosh t); with
-the dominant side last, a_n = sum of the others.
+the dominant side last, a_n = sum of the others.  A vertex's rapidity t is
+the running sum of the increments before it, accumulated in double-double
+arithmetic in one O(n) pass (domain.prefix_sums).
 
 The variational functional phi_ell built from Clh2 has the solved polygon
 as its constrained critical point but is neither concave nor convex, so it
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SideLengths
+from .domain import SideLengths, prefix_sums
 from .errors import DimensionMismatchError, DomainError, InvariantViolation, ReverseInequalityError
 from .hyperbolic import FootDistances, phi, _solve_phi_root
 from .specfun import clh2
@@ -111,8 +113,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     radius = res.root
 
     a_rot = 2.0 * np.arcsinh(rot / (2.0 * radius))
-    marks = a_rot[: n - 1].tolist()
-    t = np.array([math.fsum(marks[:j]) for j in range(n)])
+    t = prefix_sums(a_rot.tolist())[0]
     vertices = np.empty((n, 2))
     for j, tj in enumerate(t):
         vertices[order[j]] = (radius * math.sinh(tj), radius * math.cosh(tj))

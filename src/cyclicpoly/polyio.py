@@ -144,10 +144,9 @@ def _relation_spread(ratios: np.ndarray) -> float:
 
 def _enforce(residuals: dict, tolerances: dict) -> None:
     for key, tol in tolerances.items():
-        if residuals[key] > tol:
-            raise InvariantViolation(
-                f"solution residual {key} = {residuals[key]:.3e} exceeds {tol:g}"
-            )
+        value = residuals[key]
+        if not value <= tol:  # fails closed: a NaN residual is a violation
+            raise InvariantViolation(f"solution residual {key} = {value:.3e} exceeds {tol:g}")
 
 
 def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolution):

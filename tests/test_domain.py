@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclicpoly.domain import TWO_PI, CentralAngles, SideLengths
+from cyclicpoly.domain import TWO_PI, CentralAngles, SideLengths, prefix_sums
 from cyclicpoly.errors import DomainError
 
 
@@ -62,3 +62,42 @@ class TestCentralAngles:
     def test_rejects_invalid(self, bad):
         with pytest.raises(DomainError):
             CentralAngles(bad)
+
+
+class TestPrefixSums:
+    @staticmethod
+    def assert_matches_fsum(marks):
+        hi, lo = prefix_sums(marks)
+        assert len(hi) == len(lo) == len(marks)
+        for j in range(len(marks)):
+            assert hi[j] == math.fsum(marks[:j]), j
+            assert abs(lo[j]) <= 0.5 * math.ulp(hi[j])
+
+    @pytest.mark.parametrize("seed,n", [(0, 3), (1, 10), (2, 100), (3, 1000), (4, 10000)])
+    def test_log_uniform_marks(self, seed, n):
+        rng = np.random.default_rng(seed)
+        marks = np.exp(rng.uniform(math.log(1e-12), math.log(1e3), n)).tolist()
+        self.assert_matches_fsum(marks)
+
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            [0.1] * 1000,
+            [TWO_PI / 7] * 7,
+            [1e3] + [1e-12] * 999,
+            [1e-12] * 500 + [1e3] + [1e-12] * 499,
+        ],
+    )
+    def test_hand_picked_marks(self, marks):
+        self.assert_matches_fsum(marks)
+
+    def test_empty(self):
+        assert prefix_sums([]) == ([], [])
+
+    def test_last_bit_near_a_rounding_tie(self):
+        # 1 + 2^-53 + 2^-106 lies just above a tie, beyond double-double
+        # precision: hi rounds the tie to even, one ulp below math.fsum
+        marks = [1.0, 2.0**-53, 2.0**-106, 0.0]
+        hi, lo = prefix_sums(marks)
+        assert hi[3] == 1.0 and lo[3] == 2.0**-53
+        assert math.fsum(marks[:3]) == 1.0 + 2.0**-52

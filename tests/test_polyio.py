@@ -102,6 +102,18 @@ class TestSolveReports:
             polyio.cli_render({"status": "error", "error": {"code": "x", "message": "nope"}})
 
 
+class TestResidualGate:
+    def test_nan_residual_fails(self):
+        with pytest.raises(InvariantViolation, match="x = nan"):
+            polyio._enforce({"x": math.nan}, {"x": 1e-9})
+
+    def test_nan_residual_never_reports_ok(self, monkeypatch):
+        monkeypatch.setattr(polyio, "_max_rel_err", lambda recovered, expected: math.nan)
+        request = polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4, 5]})
+        with pytest.raises(InvariantViolation, match="side_recovery_max_rel_error"):
+            polyio.cli_solve(request)
+
+
 class TestCanonicalJson:
     def test_seventeen_digit_floats(self):
         text = polyio.dumps_report({"x": 0.1})
