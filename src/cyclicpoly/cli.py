@@ -10,7 +10,11 @@ INPUT is a path to a JSON request (or '-' / omitted for stdin): an object
 objects for batch processing.  Reports go to stdout as JSON; render writes
 the SVG to --out (nothing is written on failure).
 
-Exit codes: 0 success, 1 malformed input, 2 geometric infeasibility.
+Exit codes: 0 success, 1 malformed input or an internal error, 2 geometric
+infeasibility.  Exit 1 covers the error codes "parse", "io" and
+"invalid_input" (the request cannot be read) and "internal_error" (the solver
+did not converge or a solution missed a residual gate); the report's
+error.code tells them apart.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Validated input vectors and the compensated prefix sum shared by every
-geometry module."""
+"""Validated input vectors, the dominance margin and the compensated prefix
+sum shared by every geometry module."""
 
 from __future__ import annotations
 
@@ -40,31 +40,45 @@ def prefix_sums(marks) -> tuple[list[float], list[float]]:
     return his, los
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def dominance(values) -> tuple[int, float]:
+    """Index m of the largest entry (the first, on ties) and the signed
+    margin v[m] - fsum(rest): the sign test every geometry starts from."""
+    v = np.asarray(values, dtype=float)
+    m = int(np.argmax(v))
+    return m, float(v[m]) - math.fsum(np.delete(v, m).tolist())
 
 
-class SideLengths:
-    """Vector of n >= 3 strictly positive, finite side lengths."""
+class Vector:
+    """Validated, read-only 1-d vector of finite floats.
+
+    The entries are copied, so freezing them never touches the caller's
+    array.  A subclass names its entries in ``_what``, sets ``min_size`` and
+    adds its own rule in ``_check``.
+    """
 
     __slots__ = ("values",)
+    _what = "entries"
+    min_size = 1
 
-    def __init__(self, lengths):
-        arr = np.asarray(lengths, dtype=float).copy()
+    def __init__(self, values):
+        arr = np.asarray(values, dtype=float).copy()
         if arr.ndim != 1:
-            raise DomainError("side lengths must be a 1-d vector")
-        if arr.size < 3:
-            raise DomainError(f"a polygon needs at least 3 sides, got {arr.size}")
+            raise DomainError(f"{self._what} must be a 1-d vector")
+        if arr.size < self.min_size:
+            raise DomainError(
+                f"too few {self._what}: need at least {self.min_size}, got {arr.size}"
+            )
         if not np.all(np.isfinite(arr)):
-            raise DomainError("side lengths must be finite")
-        if np.any(arr <= 0.0):
-            k = int(np.argmax(arr <= 0.0))
-            raise DomainError(f"side lengths must be strictly positive (side {k} is {arr[k]})")
-        self.values = _readonly(arr)
+            raise DomainError(f"{self._what} must be finite")
+        self._check(arr)
+        arr.setflags(write=False)
+        self.values = arr
+
+    def _check(self, arr: np.ndarray) -> None:
+        """Raise DomainError unless ``arr`` obeys the subclass's rule."""
 
     @classmethod
-    def coerce(cls, obj) -> "SideLengths":
+    def coerce(cls, obj):
         return obj if isinstance(obj, cls) else cls(obj)
 
     @property
@@ -81,10 +95,23 @@ class SideLengths:
         return self.values[k]
 
     def __repr__(self) -> str:
-        return f"SideLengths({self.values.tolist()!r})"
+        return f"{type(self).__name__}({self.values.tolist()!r})"
 
 
-class CentralAngles:
+class SideLengths(Vector):
+    """Vector of n >= 3 strictly positive, finite side lengths."""
+
+    __slots__ = ()
+    _what = "side lengths"
+    min_size = 3
+
+    def _check(self, arr):
+        if np.any(arr <= 0.0):
+            k = int(np.argmax(arr <= 0.0))
+            raise DomainError(f"side lengths must be strictly positive (side {k} is {arr[k]})")
+
+
+class CentralAngles(Vector):
     """Point of the closed simplex: n non-negative angles summing to 2*pi.
 
     The sum constraint is enforced to ANGLE_SUM_TOL in absolute terms.
@@ -92,16 +119,11 @@ class CentralAngles:
     where the variational functional is differentiable) from its boundary.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
+    _what = "central angles"
+    min_size = 3
 
-    def __init__(self, angles):
-        arr = np.asarray(angles, dtype=float).copy()
-        if arr.ndim != 1:
-            raise DomainError("central angles must be a 1-d vector")
-        if arr.size < 3:
-            raise DomainError(f"need at least 3 central angles, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("central angles must be finite")
+    def _check(self, arr):
         if np.any(arr < 0.0):
             k = int(np.argmax(arr < 0.0))
             raise DomainError(f"central angles must be non-negative (entry {k} is {arr[k]})")
@@ -110,29 +132,25 @@ class CentralAngles:
             raise DomainError(
                 f"central angles must sum to 2*pi (got {total!r}, off by {total - TWO_PI:.3e})"
             )
-        self.values = _readonly(arr)
-
-    @classmethod
-    def coerce(cls, obj) -> "CentralAngles":
-        return obj if isinstance(obj, cls) else cls(obj)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
     @property
     def is_interior(self) -> bool:
         """True iff the point lies in the open simplex (every entry > 0)."""
         return bool(np.all(self.values > 0.0))
 
-    def __len__(self) -> int:
-        return self.values.size
 
-    def __iter__(self):
-        return iter(self.values)
+class FootDistances(Vector):
+    """Distances between consecutive perpendicular feet on the axis geodesic
+    (hyperbolic hypercycle) or rapidity increments (1+1 spacetime).
 
-    def __getitem__(self, k):
-        return self.values[k]
+    In caller side order; with the dominant side reindexed last, the
+    dominant entry equals the sum of the others (its foot segment comprises
+    all the others).
+    """
 
-    def __repr__(self) -> str:
-        return f"CentralAngles({self.values.tolist()!r})"
+    __slots__ = ()
+    _what = "foot distances"
+
+    def _check(self, arr):
+        if np.any(arr <= 0.0):
+            raise DomainError("foot distances must be positive")

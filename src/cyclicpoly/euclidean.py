@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths, prefix_sums
+from .domain import TWO_PI, CentralAngles, SideLengths, dominance, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
 
@@ -83,10 +83,7 @@ class EuclideanSolution:
 
 def check_polygon_inequalities(lengths) -> PolygonIneqStatus:
     """Classify the sides as strictly feasible, flat, or impossible."""
-    lengths = SideLengths.coerce(lengths)
-    l = lengths.values
-    m = int(np.argmax(l))
-    margin = l[m] - math.fsum(np.delete(l, m).tolist())
+    m, margin = dominance(SideLengths.coerce(lengths).values)
     if margin < 0.0:
         return PolygonIneqStatus(STRICT, None, margin)
     if margin == 0.0:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SideLengths, prefix_sums
+from .domain import CentralAngles, FootDistances, SideLengths, dominance, prefix_sums
 from .errors import DomainError, HorocycleDriftWarning, InvariantViolation
 from .euclidean import _require_strict, solve_euclidean
 from .rootfind import RootResult, bisect_newton
@@ -95,38 +95,6 @@ class HypCurveClass:
     margin: float
 
 
-class FootDistances:
-    """Distances between consecutive perpendicular feet on the axis geodesic.
-
-    In caller side order; with the dominant side reindexed last, the
-    dominant entry equals the sum of the others (its foot segment comprises
-    all the others).
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, a):
-        arr = np.asarray(a, dtype=float).copy()
-        if arr.ndim != 1:
-            raise DomainError("foot distances must be a 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("foot distances must be finite and positive")
-        arr.setflags(write=False)
-        self.values = arr
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __repr__(self) -> str:
-        return f"FootDistances({self.values.tolist()!r})"
-
-
 @dataclass(frozen=True, eq=False)
 class HyperbolicSolution:
     """Unique hyperbolic cyclic polygon, with per-class parameters.
@@ -142,7 +110,7 @@ class HyperbolicSolution:
     curve_class: HypCurveClass
     vertices: np.ndarray  # (n, 3)
     circumradius: float | None = None
-    angles: object | None = None
+    angles: CentralAngles | None = None
     offsets: np.ndarray | None = None
     axis_distance: float | None = None
     foot_distances: FootDistances | None = None
@@ -172,8 +140,7 @@ def classify(lengths, *, horocycle_band: float = DEFAULT_HOROCYCLE_BAND) -> HypC
         raise DomainError(f"horocycle band must be non-negative, got {horocycle_band!r}")
     _require_strict(lengths)
     chords = np.array([hyp_chord(l) for l in lengths.values])
-    dom = int(np.argmax(lengths.values))
-    margin = float(chords[dom] - math.fsum(np.delete(chords, dom).tolist()))
+    dom, margin = dominance(chords)
     tau = horocycle_band * math.fsum(chords.tolist())
     if margin < -tau:
         kind = CIRCLE
@@ -193,13 +160,17 @@ def _as_chords(chords) -> np.ndarray:
     return arr
 
 
-def phi(x: float, chords) -> float:
-    """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last."""
+def _half_feet(x: float, chords) -> np.ndarray:
+    # arsinh(c_k / 2x): half the foot marks at the curve parameter x
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive and finite, got {x!r}")
-    c = _as_chords(chords)
-    a = np.arcsinh(c / (2.0 * x)).tolist()
+    return np.arcsinh(_as_chords(chords) / (2.0 * x))
+
+
+def phi(x: float, chords) -> float:
+    """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last."""
+    a = _half_feet(x, chords).tolist()
     return a[-1] - math.fsum(a[:-1])
 
 
@@ -209,12 +180,8 @@ def phi_prime(x: float, chords) -> float:
     Positive at any zero of phi (tanh is strictly subadditive), which is
     what makes the zero unique.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be positive and finite, got {x!r}")
-    c = _as_chords(chords)
-    t = np.tanh(np.arcsinh(c / (2.0 * x))).tolist()
-    return (math.fsum(t[:-1]) - t[-1]) / x
+    t = np.tanh(_half_feet(x, chords)).tolist()
+    return (math.fsum(t[:-1]) - t[-1]) / float(x)
 
 
 def _solve_phi_root(chords: np.ndarray, lo: float, rel_tol: float) -> RootResult:
@@ -259,19 +226,33 @@ def solve_hypercycle_radius(chords, *, rel_tol: float = 1e-12) -> float:
     return _solve_phi_root(c, 1.0, rel_tol).root
 
 
-def _horocycle_point(s: float) -> tuple[float, float, float]:
-    # unit-speed parametrization of the horocycle x3 - x1 = 1
-    return (0.5 * s * s, s, 1.0 + 0.5 * s * s)
+def dominant_last(dom: int, n: int) -> list[int]:
+    """Marking order: caller indices starting after side ``dom``, so it comes last."""
+    return [(dom + 1 + j) % n for j in range(n)]
+
+
+def mark_feet(rot: np.ndarray, x: float, order: list[int]):
+    """Foot marks a_k = 2 arsinh(rot_k / 2x) of the sides ``rot`` (in marking order).
+
+    ``x`` is the root of phi: Rbar = cosh(R) on a hypercycle, the radius R
+    on a Minkowski hyperbola.  Returns (t, feet): t[j] is the running sum of
+    the marks before vertex j in marking order, and ``feet`` holds the marks
+    in caller order.
+    """
+    a = 2.0 * np.arcsinh(rot / (2.0 * x))
+    foot = np.empty(a.size)
+    foot[order] = a
+    return prefix_sums(a.tolist())[0], FootDistances(foot)
 
 
 def _build_horocycle(
     cls: HypCurveClass, order: list[int], rot_chords: np.ndarray, iterations: int = 0
 ) -> HyperbolicSolution:
-    n = rot_chords.size
     offsets = np.array(prefix_sums(rot_chords.tolist())[0])
-    vertices = np.empty((n, 3))
+    vertices = np.empty((rot_chords.size, 3))
     for j, s in enumerate(offsets):
-        vertices[order[j]] = _horocycle_point(s)
+        # unit-speed parametrization of the horocycle x3 - x1 = 1
+        vertices[order[j]] = (0.5 * s * s, s, 1.0 + 0.5 * s * s)
     return HyperbolicSolution(
         curve_class=cls,
         vertices=vertices,
@@ -298,7 +279,7 @@ def solve_hyperbolic(
     cls = classify(lengths, horocycle_band=horocycle_band)
     n = lengths.n
     dom = cls.index
-    order = [(dom + 1 + j) % n for j in range(n)]
+    order = dominant_last(dom, n)
     chords = np.array([hyp_chord(l) for l in lengths.values])
 
     if cls.kind == CIRCLE:
@@ -331,17 +312,14 @@ def solve_hyperbolic(
         return _build_horocycle(fallback, order, rot_chords, iterations=res.iterations)
 
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
-    a_rot = 2.0 * np.arcsinh(rot_chords / (2.0 * rbar))
-    t = prefix_sums(a_rot.tolist())[0]
+    t, feet = mark_feet(rot_chords, rbar, order)
     vertices = np.empty((n, 3))
     for j, tj in enumerate(t):
         vertices[order[j]] = (rbar * math.sinh(tj), sinh_r, rbar * math.cosh(tj))
-    foot = np.empty(n)
-    foot[order] = a_rot
     return HyperbolicSolution(
         curve_class=cls,
         vertices=vertices,
         axis_distance=math.acosh(rbar),
-        foot_distances=FootDistances(foot),
+        foot_distances=feet,
         iterations=res.iterations,
     )

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SideLengths, prefix_sums
+from .domain import FootDistances, SideLengths, dominance
 from .errors import DimensionMismatchError, DomainError, InvariantViolation, ReverseInequalityError
-from .hyperbolic import FootDistances, phi, _solve_phi_root
+from .hyperbolic import _solve_phi_root, dominant_last, mark_feet, phi
 from .specfun import clh2
 
 __all__ = [
@@ -77,10 +77,7 @@ class MinkowskiSolution:
 
 def check_minkowski_feasibility(lengths) -> MinkowskiFeasibility:
     """Check that exactly one side strictly exceeds the sum of the others."""
-    lengths = SideLengths.coerce(lengths)
-    l = lengths.values
-    dom = int(np.argmax(l))
-    margin = float(l[dom]) - math.fsum(np.delete(l, dom).tolist())
+    dom, margin = dominance(SideLengths.coerce(lengths).values)
     return MinkowskiFeasibility(feasible=margin > 0.0, dominant=dom, margin=margin)
 
 
@@ -97,7 +94,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     l = lengths.values
     n = lengths.n
     dom = feas.dominant
-    order = [(dom + 1 + j) % n for j in range(n)]
+    order = dominant_last(dom, n)
     rot = l[order]
 
     # bracket in (0, inf): Phi ~ (n-2) log x - const near 0, so shrink the
@@ -112,16 +109,13 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     res = _solve_phi_root(rot, lo, rel_tol)
     radius = res.root
 
-    a_rot = 2.0 * np.arcsinh(rot / (2.0 * radius))
-    t = prefix_sums(a_rot.tolist())[0]
+    t, feet = mark_feet(rot, radius, order)
     vertices = np.empty((n, 2))
     for j, tj in enumerate(t):
         vertices[order[j]] = (radius * math.sinh(tj), radius * math.cosh(tj))
-    foot = np.empty(n)
-    foot[order] = a_rot
     return MinkowskiSolution(
         radius=radius,
-        foot_params=FootDistances(foot),
+        foot_params=feet,
         dominant=dom,
         vertices=vertices,
         iterations=res.iterations,

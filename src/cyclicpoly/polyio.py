@@ -149,6 +149,17 @@ def _enforce(residuals: dict, tolerances: dict) -> None:
             raise InvariantViolation(f"solution residual {key} = {value:.3e} exceeds {tol:g}")
 
 
+def _finish(sol, residuals: dict, limits: dict, payload: dict, cross: dict, convention: str):
+    """Gate the residuals against their limits, then assemble the report body."""
+    _enforce(residuals, limits)
+    diagnostics = {
+        "residuals": residuals,
+        "solver_iterations": int(sol.iterations),
+        "cross_check": cross,
+    }
+    return payload, diagnostics, convention
+
+
 def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolution):
     l = lengths.values
     sides = np.linalg.norm(_side_vectors(sol.vertices), axis=1)
@@ -159,11 +170,11 @@ def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolutio
             np.max(np.abs(np.linalg.norm(sol.vertices, axis=1) - sol.radius)) / sol.radius
         ),
     }
-    _enforce(residuals, {
+    limits = {
         "side_recovery_max_rel_error": 1e-9,
         "angle_sum_abs_error": 1e-11,
         "curve_residency_max_rel_error": 1e-10,
-    })
+    }
     ratios = l / (2.0 * np.sin(0.5 * sol.angles.values))
     payload = {
         "radius": float(sol.radius),
@@ -171,12 +182,8 @@ def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolutio
         "angles": _vec(sol.angles.values),
         "vertices": _mat(sol.vertices),
     }
-    diagnostics = {
-        "residuals": residuals,
-        "solver_iterations": int(sol.iterations),
-        "cross_check": {"radius_relation_rel_spread": _relation_spread(ratios)},
-    }
-    return payload, diagnostics, _CONVENTIONS["euclidean"]
+    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
+    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["euclidean"])
 
 
 def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolution):
@@ -194,11 +201,11 @@ def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolutio
             )
         ),
     }
-    _enforce(residuals, {
+    limits = {
         "side_recovery_max_rel_error": 1e-10,
         "angle_sum_abs_error": 1e-11,
         "curve_residency_max_abs_error": 1e-12,
-    })
+    }
     ratios = 2.0 * np.sin(0.5 * l) / (2.0 * np.sin(0.5 * sol.angles.values))
     payload = {
         "chordal_radius": float(sol.chordal_radius),
@@ -206,12 +213,8 @@ def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolutio
         "angles": _vec(sol.angles.values),
         "vertices": _mat(sol.vertices),
     }
-    diagnostics = {
-        "residuals": residuals,
-        "solver_iterations": int(sol.iterations),
-        "cross_check": {"radius_relation_rel_spread": _relation_spread(ratios)},
-    }
-    return payload, diagnostics, _CONVENTIONS["spherical"]
+    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
+    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["spherical"])
 
 
 def _hyp_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,11 +245,11 @@ def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolu
     if kind == hyperbolic.HOROCYCLE:
         chord_dom = 2.0 * math.sinh(0.5 * float(l[sol.curve_class.index]))
         side_tol = max(side_tol, 1.5 * abs(sol.curve_class.margin) / chord_dom)
-    _enforce(residuals, {
+    limits = {
         "side_recovery_max_rel_error": side_tol,
         "curve_residency_max_abs_error": 1e-10,
         "curve_functional_max_spread": 1e-10,
-    })
+    }
 
     payload = {
         "class": {
@@ -263,7 +266,7 @@ def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolu
         ratios = (2.0 * np.sinh(0.5 * l)) / (2.0 * np.sin(0.5 * sol.angles.values))
         cross["radius_relation_rel_spread"] = _relation_spread(ratios)
         residuals["angle_sum_abs_error"] = _angle_sum_err(sol.angles)
-        _enforce(residuals, {"angle_sum_abs_error": 1e-11})
+        limits["angle_sum_abs_error"] = 1e-11
     elif kind == hyperbolic.HOROCYCLE:
         payload["offsets"] = _vec(sol.offsets)
         cross["chord_margin_rel"] = float(
@@ -277,15 +280,10 @@ def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolu
         residuals["foot_additivity_abs_error"] = float(
             abs(a[dom] - math.fsum(np.delete(a, dom).tolist()))
         )
-        _enforce(residuals, {"foot_additivity_abs_error": 1e-10})
+        limits["foot_additivity_abs_error"] = 1e-10
         ratios = (2.0 * np.sinh(0.5 * l)) / (2.0 * np.sinh(0.5 * a))
         cross["radius_relation_rel_spread"] = _relation_spread(ratios)
-    diagnostics = {
-        "residuals": residuals,
-        "solver_iterations": int(sol.iterations),
-        "cross_check": cross,
-    }
-    return payload, diagnostics, _CONVENTIONS[f"hyperbolic:{kind}"]
+    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS[f"hyperbolic:{kind}"])
 
 
 def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolution):
@@ -304,11 +302,11 @@ def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolutio
             abs(a[sol.dominant] - math.fsum(np.delete(a, sol.dominant).tolist()))
         ),
     }
-    _enforce(residuals, {
+    limits = {
         "side_recovery_max_rel_error": 1e-9,
         "curve_residency_max_rel_error": 1e-10,
         "foot_additivity_abs_error": 1e-10,
-    })
+    }
     ratios = l / (2.0 * np.sinh(0.5 * a))
     payload = {
         "radius": float(sol.radius),
@@ -316,12 +314,8 @@ def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolutio
         "foot_params": _vec(a),
         "vertices": _mat(v),
     }
-    diagnostics = {
-        "residuals": residuals,
-        "solver_iterations": int(sol.iterations),
-        "cross_check": {"radius_relation_rel_spread": _relation_spread(ratios)},
-    }
-    return payload, diagnostics, _CONVENTIONS["minkowski"]
+    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
+    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["minkowski"])
 
 
 def _solve(request: SolveRequest):

@@ -8,6 +8,9 @@ from typing import Callable
 
 from .errors import InvariantViolation
 
+#: Newton steps tried after bisection; each must shrink |f| to be kept
+_NEWTON_STEPS = 3
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -23,7 +26,6 @@ def bisect_newton(
     *,
     dfdx: Callable[[float], float] | None = None,
     rel_tol: float = 1e-14,
-    newton_steps: int = 3,
 ) -> RootResult:
     """Find the root of f in [lo, hi]; f(lo) and f(hi) must not share a sign.
 
@@ -59,7 +61,7 @@ def bisect_newton(
     x = 0.5 * (lo + hi)
     fx = f(x)
     if dfdx is not None:
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             if fx == 0.0:
                 break
             d = dfdx(x)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .domain import TWO_PI
+from .domain import TWO_PI, Vector
 from .errors import DimensionMismatchError, DomainError, InfiniteDivergenceError
 
 __all__ = [
@@ -166,17 +166,8 @@ def clh2(x: float) -> float:
     ax = abs(x)
     if ax <= 1.0:
         return _cl2_series(x, sign=-1.0)
-    s = math.copysign(1.0, x)
-    u = math.exp(-ax)
-    tail = 0.0
-    p = 1.0
-    for k in range(1, 80):
-        p *= u
-        t = p / (k * k)
-        tail += t
-        if t < 1e-18:
-            break
-    return s * (_PI_SQ_6 - 0.25 * ax * ax - tail)
+    tail = _dilog_series(math.exp(-ax))  # Li2(e^-|x|)
+    return math.copysign(1.0, x) * (_PI_SQ_6 - 0.25 * ax * ax - tail)
 
 
 def clh2_via_dilog(x: float) -> float:
@@ -196,34 +187,18 @@ def clh2_via_dilog(x: float) -> float:
     return re_li2 + 0.25 * x * x - _PI_SQ_6
 
 
-class ProbDist:
+class ProbDist(Vector):
     """Discrete probability distribution: non-negative weights summing to 1."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
+    _what = "weights"
 
-    def __init__(self, weights):
-        arr = np.asarray(weights, dtype=float).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("weights must be finite")
+    def _check(self, arr):
         if np.any(arr < 0.0):
             raise DomainError("weights must be non-negative")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"weights must sum to 1 (got {total!r})")
-        arr.setflags(write=False)
-        self.weights = arr
-
-    @classmethod
-    def coerce(cls, obj) -> "ProbDist":
-        return obj if isinstance(obj, cls) else cls(obj)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __repr__(self) -> str:
-        return f"ProbDist({self.weights.tolist()!r})"
 
 
 def kl_divergence(p, q) -> float:
@@ -240,7 +215,7 @@ def kl_divergence(p, q) -> float:
             f"distributions must have equal length ({len(p)} vs {len(q)})"
         )
     terms = []
-    for k, (pk, qk) in enumerate(zip(p.weights, q.weights)):
+    for k, (pk, qk) in enumerate(zip(p.values, q.values)):
         if pk == 0.0:
             continue
         if qk == 0.0:

@@ -5,8 +5,45 @@ import math
 import numpy as np
 import pytest
 
-from cyclicpoly.domain import TWO_PI, CentralAngles, SideLengths, prefix_sums
+from cyclicpoly.domain import (
+    TWO_PI,
+    CentralAngles,
+    FootDistances,
+    SideLengths,
+    dominance,
+    prefix_sums,
+)
 from cyclicpoly.errors import DomainError
+from cyclicpoly.specfun import ProbDist
+
+#: one valid value for each validated vector class
+VECTORS = [
+    (SideLengths, [3.0, 4.0, 5.0]),
+    (CentralAngles, [TWO_PI / 3] * 3),
+    (FootDistances, [1.0, 2.0, 3.0]),
+    (ProbDist, [0.25, 0.75]),
+]
+
+
+@pytest.mark.parametrize("cls,valid", VECTORS, ids=[c.__name__ for c, _ in VECTORS])
+class TestVectorBase:
+    def test_values_are_read_only(self, cls, valid):
+        arr = np.array(valid)
+        v = cls(arr)
+        with pytest.raises(ValueError):
+            v.values[0] = 9.0
+        arr[0] = 9.0  # the caller's array is copied, not frozen
+        assert v.values[0] == valid[0]
+
+    def test_coerce_passes_through(self, cls, valid):
+        v = cls(valid)
+        assert cls.coerce(v) is v
+
+    def test_repr_round_trips(self, cls, valid):
+        v = cls(valid)
+        assert repr(v).startswith(f"{cls.__name__}(")
+        again = eval(repr(v), {cls.__name__: cls})
+        assert type(again) is cls and again.values.tolist() == v.values.tolist()
 
 
 class TestSideLengths:
@@ -15,15 +52,6 @@ class TestSideLengths:
         assert s.n == 3 and len(s) == 3
         assert list(s) == [3.0, 4.0, 5.0]
         assert s[1] == 4.0
-
-    def test_values_are_read_only(self):
-        s = SideLengths([3, 4, 5])
-        with pytest.raises(ValueError):
-            s.values[0] = 9.0
-
-    def test_coerce_passes_through(self):
-        s = SideLengths([3, 4, 5])
-        assert SideLengths.coerce(s) is s
 
     @pytest.mark.parametrize(
         "bad",
@@ -62,6 +90,15 @@ class TestCentralAngles:
     def test_rejects_invalid(self, bad):
         with pytest.raises(DomainError):
             CentralAngles(bad)
+
+
+class TestDominance:
+    def test_margin_of_the_largest_entry(self):
+        assert dominance([1.0, 5.0, 2.0]) == (1, 2.0)
+        assert dominance([3.0, 4.0, 5.0]) == (2, -2.0)
+
+    def test_first_of_tied_entries(self):
+        assert dominance([2.0, 1.0, 2.0]) == (0, -1.0)
 
 
 class TestPrefixSums:

@@ -187,6 +187,13 @@ class TestCliExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
 
+    def test_internal_error_exit_1(self, capsys, monkeypatch):
+        # a solution that misses a residual gate shares exit 1 with bad input
+        monkeypatch.setattr(polyio, "_max_rel_err", lambda recovered, expected: 1.0)
+        code, out = run_cli(["solve"], '{"geometry":"euclidean","lengths":[3,4,5]}', capsys, monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "internal_error"
+
     def test_geometry_flag(self, capsys, monkeypatch):
         code, out = run_cli(
             ["solve", "--geometry", "minkowski"], '{"lengths":[1,1,3]}', capsys, monkeypatch
