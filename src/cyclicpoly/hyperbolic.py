@@ -6,7 +6,9 @@ vertices lie on a curve of constant nonzero curvature: a circle, a
 horocycle, or a hypercycle (constant distance R from a geodesic).  Which
 one is decided by the chordal lengths lbar = 2 sinh(l/2): the dominant
 chord is <, =, or > the sum of the others, respectively (the geodesic
-lengths themselves always satisfy the strict polygon inequalities).
+lengths themselves always satisfy the strict polygon inequalities).  The
+chords are the side lengths of the chordal polygon: a chord vector is a
+domain.SideLengths, checked once where a solver first uses it.
 
 Constructions, one per class:
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,12 +89,14 @@ class HypCurveClass:
 
     ``index`` is the dominant (longest) side, ``margin`` the signed value
     chord[index] - sum(other chords); its sign against the band width picks
-    the tag.
+    the tag.  ``chords`` keeps the chords in caller order; it takes no part
+    in equality, hashing or repr.
     """
 
     kind: str  # CIRCLE, HOROCYCLE, or HYPERCYCLE
     index: int
     margin: float
+    chords: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +152,7 @@ def classify(lengths, *, horocycle_band: float = DEFAULT_HOROCYCLE_BAND) -> HypC
         kind = HYPERCYCLE
     else:
         kind = HOROCYCLE
-    return HypCurveClass(kind=kind, index=dom, margin=margin)
-
-
-def _as_chords(chords) -> np.ndarray:
-    arr = np.asarray(chords, dtype=float)
-    if arr.ndim != 1 or arr.size < 3:
-        raise DomainError("chords must be a 1-d vector with at least 3 entries")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("chords must be finite and positive")
-    return arr
+    return HypCurveClass(kind=kind, index=dom, margin=margin, chords=chords)
 
 
 def _half_feet(x: float, chords) -> np.ndarray:
@@ -165,7 +160,7 @@ def _half_feet(x: float, chords) -> np.ndarray:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive and finite, got {x!r}")
-    return np.arcsinh(_as_chords(chords) / (2.0 * x))
+    return np.arcsinh(SideLengths.coerce(chords).values / (2.0 * x))
 
 
 def phi(x: float, chords) -> float:
@@ -184,9 +179,10 @@ def phi_prime(x: float, chords) -> float:
     return (math.fsum(t[:-1]) - t[-1]) / float(x)
 
 
-def _solve_phi_root(chords: np.ndarray, lo: float, rel_tol: float) -> RootResult:
+def _solve_phi_root(chords, lo: float, rel_tol: float) -> RootResult:
     """Root of phi on (lo, inf), given phi(lo) < 0; the bracket is grown x2."""
-    hi = max(2.0 * lo, float(chords.max()))
+    chords = SideLengths.coerce(chords)
+    hi = max(2.0 * lo, float(chords.values.max()))
     for _ in range(400):
         if phi(hi, chords) > 0.0:
             break
@@ -212,8 +208,8 @@ def solve_hypercycle_radius(chords, *, rel_tol: float = 1e-12) -> float:
     still satisfy the polygon inequalities (equivalently phi(1) < 0).
     Violations are a caller bug and raise InvariantViolation.
     """
-    c = _as_chords(chords)
-    margin = float(c[-1]) - math.fsum(c[:-1].tolist())
+    c = SideLengths.coerce(chords)
+    margin = float(c[-1]) - math.fsum(c.values[:-1].tolist())
     if margin <= 0.0:
         raise InvariantViolation(
             "hypercycle condition fails: last chord does not exceed the sum of the others"
@@ -278,12 +274,10 @@ def solve_hyperbolic(
     lengths = SideLengths.coerce(lengths)
     cls = classify(lengths, horocycle_band=horocycle_band)
     n = lengths.n
-    dom = cls.index
-    order = dominant_last(dom, n)
-    chords = np.array([hyp_chord(l) for l in lengths.values])
+    order = dominant_last(cls.index, n)
 
     if cls.kind == CIRCLE:
-        planar = solve_euclidean(chords, rel_tol=rel_tol)
+        planar = solve_euclidean(cls.chords, rel_tol=rel_tol)
         rbar = planar.radius
         x3 = math.hypot(1.0, rbar)  # cosh(arsinh(rbar))
         vertices = np.column_stack((planar.vertices, np.full(n, x3)))
@@ -295,7 +289,7 @@ def solve_hyperbolic(
             iterations=planar.iterations,
         )
 
-    rot_chords = chords[order]
+    rot_chords = cls.chords[order]
     if cls.kind == HOROCYCLE:
         return _build_horocycle(cls, order, rot_chords)
 
@@ -308,7 +302,7 @@ def solve_hyperbolic(
             HorocycleDriftWarning,
             stacklevel=2,
         )
-        fallback = HypCurveClass(HOROCYCLE, dom, cls.margin)
+        fallback = replace(cls, kind=HOROCYCLE)
         return _build_horocycle(fallback, order, rot_chords, iterations=res.iterations)
 
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))

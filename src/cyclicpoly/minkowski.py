@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import FootDistances, SideLengths, dominance
-from .errors import DimensionMismatchError, DomainError, InvariantViolation, ReverseInequalityError
+from .domain import FootDistances, SideLengths, Vector, dominance
+from .errors import DimensionMismatchError, InvariantViolation, ReverseInequalityError
 from .hyperbolic import _solve_phi_root, dominant_last, mark_feet, phi
 from .specfun import clh2
 
@@ -95,7 +95,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     n = lengths.n
     dom = feas.dominant
     order = dominant_last(dom, n)
-    rot = l[order]
+    rot = SideLengths(l[order])
 
     # bracket in (0, inf): Phi ~ (n-2) log x - const near 0, so shrink the
     # lower end until it is negative, then grow the upper end
@@ -109,7 +109,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     res = _solve_phi_root(rot, lo, rel_tol)
     radius = res.root
 
-    t, feet = mark_feet(rot, radius, order)
+    t, feet = mark_feet(rot.values, radius, order)
     vertices = np.empty((n, 2))
     for j, tj in enumerate(t):
         vertices[order[j]] = (radius * math.sinh(tj), radius * math.cosh(tj))
@@ -131,15 +131,11 @@ def phi_ell(lengths, a) -> float:
     k), but it is neither concave nor convex, so it is not used as a solver.
     """
     lengths = SideLengths.coerce(lengths)
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError("a must be a 1-d vector")
+    arr = Vector(a).values
     if arr.size != lengths.n:
         raise DimensionMismatchError(
             f"{lengths.n} side lengths vs {arr.size} foot parameters"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("foot parameters must be finite")
     logl = np.log(lengths.values)
     terms = [clh2(float(ak)) + logl[k] * float(ak) for k, ak in enumerate(arr)]
     return math.fsum(terms[:-1]) - terms[-1]

@@ -118,14 +118,6 @@ def parse_request(
 # solution payloads and diagnostics
 
 
-def _vec(x) -> list[float]:
-    return [float(v) for v in x]
-
-
-def _mat(x) -> list[list[float]]:
-    return [[float(v) for v in row] for row in x]
-
-
 def _side_vectors(vertices: np.ndarray) -> np.ndarray:
     return np.roll(vertices, -1, axis=0) - vertices
 
@@ -179,8 +171,8 @@ def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolutio
     payload = {
         "radius": float(sol.radius),
         "center_inside": bool(sol.center_inside),
-        "angles": _vec(sol.angles.values),
-        "vertices": _mat(sol.vertices),
+        "angles": sol.angles.values.tolist(),
+        "vertices": sol.vertices.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
     return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["euclidean"])
@@ -210,8 +202,8 @@ def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolutio
     payload = {
         "chordal_radius": float(sol.chordal_radius),
         "circumradius": float(sol.circumradius),
-        "angles": _vec(sol.angles.values),
-        "vertices": _mat(sol.vertices),
+        "angles": sol.angles.values.tolist(),
+        "vertices": sol.vertices.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
     return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["spherical"])
@@ -257,24 +249,24 @@ def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolu
             "dominant": int(sol.curve_class.index),
             "margin": float(sol.curve_class.margin),
         },
-        "vertices": _mat(v),
+        "vertices": v.tolist(),
     }
     cross = {}
     if kind == hyperbolic.CIRCLE:
         payload["circumradius"] = float(sol.circumradius)
-        payload["angles"] = _vec(sol.angles.values)
+        payload["angles"] = sol.angles.values.tolist()
         ratios = (2.0 * np.sinh(0.5 * l)) / (2.0 * np.sin(0.5 * sol.angles.values))
         cross["radius_relation_rel_spread"] = _relation_spread(ratios)
         residuals["angle_sum_abs_error"] = _angle_sum_err(sol.angles)
         limits["angle_sum_abs_error"] = 1e-11
     elif kind == hyperbolic.HOROCYCLE:
-        payload["offsets"] = _vec(sol.offsets)
+        payload["offsets"] = sol.offsets.tolist()
         cross["chord_margin_rel"] = float(
             sol.curve_class.margin / math.fsum((2.0 * np.sinh(0.5 * l)).tolist())
         )
     else:
         payload["axis_distance"] = float(sol.axis_distance)
-        payload["foot_distances"] = _vec(sol.foot_distances.values)
+        payload["foot_distances"] = sol.foot_distances.values.tolist()
         a = sol.foot_distances.values
         dom = sol.curve_class.index
         residuals["foot_additivity_abs_error"] = float(
@@ -311,8 +303,8 @@ def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolutio
     payload = {
         "radius": float(sol.radius),
         "dominant": int(sol.dominant),
-        "foot_params": _vec(a),
-        "vertices": _mat(v),
+        "foot_params": a.tolist(),
+        "vertices": v.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
     return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["minkowski"])

@@ -261,6 +261,57 @@ class TestHypercycleRadius:
             hyperbolic.solve_hypercycle_radius([1.0, 1.0, 3.0])
 
 
+BAD_CHORDS = {
+    "too_few": [1.0, 2.5],
+    "nan": [1.0, math.nan, 2.5],
+    "zero": [1.0, 0.0, 2.5],
+    "negative": [1.0, -1.0, 2.5],
+    "two_d": [[1.0, 1.0, 2.5]],
+}
+
+CHORD_USERS = {
+    "phi": lambda c: hyperbolic.phi(1.5, c),
+    "phi_prime": lambda c: hyperbolic.phi_prime(1.5, c),
+    "solve_hypercycle_radius": hyperbolic.solve_hypercycle_radius,
+}
+
+
+class TestChordChecks:
+    # chords are the side lengths of the chordal polygon and obey their rule
+    @pytest.mark.parametrize("bad", BAD_CHORDS.values(), ids=BAD_CHORDS.keys())
+    @pytest.mark.parametrize("user", CHORD_USERS.values(), ids=CHORD_USERS.keys())
+    def test_rejects_invalid_chords(self, user, bad):
+        with pytest.raises(DomainError, match="side lengths"):
+            user(bad)
+
+
+class TestSingleChordMap:
+    @pytest.mark.parametrize(
+        "lengths, kind",
+        [
+            ([1.0, 1.0, 1.0], hyperbolic.CIRCLE),
+            ([1.0, 1.0, HOROCYCLE_L3], hyperbolic.HOROCYCLE),
+            ([1.0, 1.0, 1.9], hyperbolic.HYPERCYCLE),
+        ],
+    )
+    def test_each_side_is_mapped_once(self, monkeypatch, lengths, kind):
+        calls = []
+        chord = hyperbolic.hyp_chord
+
+        def counting_chord(ell):
+            calls.append(ell)
+            return chord(ell)
+
+        monkeypatch.setattr(hyperbolic, "hyp_chord", counting_chord)
+        cls = hyperbolic.solve_hyperbolic(lengths).curve_class
+        assert len(calls) == len(lengths)
+        assert cls.kind == kind
+        # the kept chords take no part in equality or hashing
+        plain = hyperbolic.HypCurveClass(kind, cls.index, cls.margin)
+        assert hyperbolic.classify(lengths) == plain
+        assert hash(cls) == hash(plain)
+
+
 class TestDriftFallback:
     def test_huge_near_horocycle_input(self):
         base = 1e10
