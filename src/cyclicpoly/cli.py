@@ -106,7 +106,7 @@ def main(argv=None) -> int:
 
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stdout.write(polyio.dumps_report(_error_report("io", str(exc))))
         return EXIT_INVALID
     try:
@@ -116,6 +116,9 @@ def main(argv=None) -> int:
             "parse", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
         sys.stdout.write(polyio.dumps_report(report))
+        return EXIT_INVALID
+    except ValueError as exc:  # e.g. an integer literal past the int digit limit
+        sys.stdout.write(polyio.dumps_report(_error_report("parse", f"invalid JSON: {exc}")))
         return EXIT_INVALID
 
     batch = isinstance(data, list)

@@ -61,6 +61,13 @@ class SolveRequest:
     horocycle_band: float | None = None
 
 
+def _float(v: int | float, what: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise RequestError(f"{what} holds an integer too large for a float") from None
+
+
 def parse_request(
     data,
     *,
@@ -84,9 +91,11 @@ def parse_request(
     lengths = data.get("lengths")
     if not isinstance(lengths, list) or not lengths:
         raise RequestError("\"lengths\" must be a non-empty array of numbers")
+    values = []
     for v in lengths:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise RequestError(f"\"lengths\" must contain only numbers, got {v!r}")
+        values.append(_float(v, "\"lengths\""))
 
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -99,7 +108,11 @@ def parse_request(
     band = horocycle_band if horocycle_band is not None else options.get("horocycle_band")
     for name, v in (("tolerance", tol), ("horocycle_band", band)):
         if v is not None:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not math.isfinite(_float(v, f"option {name!r}"))
+            ):
                 raise RequestError(f"option {name!r} must be a finite number")
             if name == "tolerance" and v <= 0:
                 raise RequestError("option 'tolerance' must be positive")
@@ -108,7 +121,7 @@ def parse_request(
 
     return SolveRequest(
         geometry=geo,
-        lengths=[float(v) for v in lengths],
+        lengths=values,
         tolerance=None if tol is None else float(tol),
         horocycle_band=None if band is None else float(band),
     )
@@ -417,6 +430,38 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _layout(item: str, count: int, pad: str, step: str) -> str:
+    """The text _emit gives a list of `count` values that each print as `item`."""
+    return "[\n" + ",\n".join([pad + step + item] * count) + "\n" + pad + "]"
+
+
+def _float_block(obj: list, indent: int, level: int) -> str | None:
+    """A float vector, or a matrix of equal-width float rows, in one format call.
+
+    Returns the text _emit would give, or None for any other list and for a
+    block holding a non-finite value, which the per-value path then emits or
+    refuses naming that value.
+    """
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        flat, width = obj, 0
+    elif kinds == {list} and len(set(map(len, obj))) == 1:
+        flat, width = [x for row in obj for x in row], len(obj[0])
+        if set(map(type, flat)) != {float}:
+            return None
+    else:
+        return None
+    if not all(map(math.isfinite, flat)):
+        return None
+    pad, step = " " * (indent * level), " " * indent
+    cell = _layout("%.17g", width, pad + step, step) if width else "%.17g"
+    template = _layout(cell, len(obj), pad, step)
+    # 0.0 + -0.0 is 0.0.  tuple() of a list allocates once; a tuple built
+    # from an iterator is resized as it fills, which let peak RSS creep up
+    # over many reports.
+    return template % tuple([0.0 + x for x in flat])
+
+
 def _emit(obj, out: list, indent: int, level: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
@@ -435,6 +480,10 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
+            return
+        block = _float_block(obj, indent, level) if type(obj) is list else None
+        if block is not None:
+            out.append(block)
             return
         out.append("[\n")
         for i, v in enumerate(obj):
@@ -456,8 +505,9 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
         raise InvariantViolation(f"unserializable report value of type {type(obj).__name__}")
 
 
-def dumps_report(report: dict, *, indent: int = 2) -> str:
-    """Serialize a report with 17-significant-digit floats, newline-terminated."""
+def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
+    """Serialize a report, or a list of reports (CLI batch mode), with
+    17-significant-digit floats, newline-terminated."""
     out: list[str] = []
     _emit(report, out, indent, 0)
     out.append("\n")

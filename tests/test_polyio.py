@@ -1,7 +1,9 @@
 """CLI, request parsing, JSON reports, SVG rendering."""
 
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +17,6 @@ HOROCYCLE_L3 = 2 * math.asinh(2 * math.sinh(0.5))
 
 
 def run_cli(args, stdin_text, capsys, monkeypatch):
-    import io
-    import sys
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = cli.main(args)
     return code, capsys.readouterr().out
@@ -51,6 +50,9 @@ class TestParseRequest:
             {"geometry": "euclidean", "lengths": [1, 2, 3], "extra": 1},
             {"geometry": "euclidean", "lengths": [1, 2, 3], "options": {"bogus": 1}},
             {"geometry": "euclidean", "lengths": [1, 2, 3], "options": {"tolerance": -1}},
+            {"geometry": "euclidean", "lengths": [1, 10**400, 3]},
+            {"geometry": "euclidean", "lengths": [1, 2, 3], "options": {"tolerance": 10**400}},
+            {"geometry": "hyperbolic", "lengths": [1, 2, 3], "options": {"horocycle_band": -(10**400)}},
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -114,17 +116,111 @@ class TestResidualGate:
             polyio.cli_solve(request)
 
 
+def _large_request(curve: str, n: int = 1000) -> dict:
+    """One n-gon request per curve class, built as the benchmark's large-n ones are."""
+    rng = np.random.default_rng(5)
+    l = rng.uniform(0.25, 1.0, n)
+    l *= (math.pi if curve == "spherical" else 10.0) / math.fsum(l.tolist())
+    if curve in ("hyperbolic-horocycle", "hyperbolic-hypercycle"):
+        chords = 2.0 * np.sinh(0.5 * l[1:])
+        excess = 1.0 if curve == "hyperbolic-horocycle" else 1.25
+        l[0] = 2.0 * math.asinh(0.5 * math.fsum(chords.tolist()) * excess)
+    elif curve == "minkowski":
+        l[0] = 1.25 * math.fsum(l[1:].tolist())
+    return {"geometry": curve.split("-")[0], "lengths": l.tolist()}
+
+
+LARGE_CURVES = (
+    "euclidean",
+    "spherical",
+    "hyperbolic-circle",
+    "hyperbolic-horocycle",
+    "hyperbolic-hypercycle",
+    "minkowski",
+)
+ROUND_TRIP_REQUESTS = {
+    "triangle": {"geometry": "euclidean", "lengths": [3, 4, 5]},
+    **{curve: _large_request(curve) for curve in LARGE_CURVES},
+}
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {
+        name: polyio.cli_solve(polyio.parse_request(req))
+        for name, req in ROUND_TRIP_REQUESTS.items()
+    }
+
+
+def _oracle_dumps(obj, indent: int = 2) -> str:
+    """Canonical JSON written one value at a time, the reference for dumps_report."""
+
+    def emit(obj, level):
+        pad, inner = " " * (indent * level), " " * (indent * (level + 1))
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = [f"{inner}{json.dumps(k)}: {emit(v, level + 1)}" for k, v in obj.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            return "[\n" + ",\n".join(inner + emit(v, level + 1) for v in obj) + "\n" + pad + "]"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, float):
+            assert math.isfinite(obj)
+            return format(0.0 if obj == 0.0 else obj, ".17g")
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        assert obj is None
+        return "null"
+
+    return emit(obj, 0) + "\n"
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Compare two report texts, naming the first differing line (pytest's own
+    diff of two large reports runs for minutes)."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    pairs = enumerate(zip(got_lines, want_lines))
+    i = next((i for i, (g, w) in pairs if g != w), min(len(got_lines), len(want_lines)))
+    pytest.fail(f"texts differ from line {i + 1}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
+
+
+EDGE_SHAPES = {
+    "ragged_matrix": {"m": [[1.0, 2.0], [3.0]]},
+    "empty_rows": {"m": [[], []]},
+    "int_and_float": {"v": [1, 2.5, -3]},
+    "bool_in_floats": {"v": [1.0, True, 0.5]},
+    "tuple_row": {"m": [(1.0, 2.0), [3.0, 4.0]]},
+    "np_float64": {"v": [np.float64(0.1), 0.2], "m": [[0.3, np.float64(0.4)]]},
+    "nested_matrix": {"m": [[[1.0, 2.0]], [[3.0, 4.0]]]},
+    "one_value": {"v": [0.1], "m": [[0.1]]},
+    "batch": [
+        {"status": "ok", "solution": {"angles": [1.5, 2.0], "vertices": [[1.0, 0.0], [0.0, 1.0]]}},
+        {"status": "error", "error": {"code": "parse", "message": "x"}},
+    ],
+}
+
+
 class TestCanonicalJson:
     def test_seventeen_digit_floats(self):
         text = polyio.dumps_report({"x": 0.1})
         assert "0.10000000000000001" in text
 
-    def test_idempotent_round_trip(self):
-        rep = polyio.cli_solve(polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4, 5]}))
+    @pytest.mark.parametrize("name", list(ROUND_TRIP_REQUESTS))
+    def test_idempotent_round_trip(self, name, reports):
+        rep = reports[name]
         s1 = polyio.dumps_report(rep)
         s2 = polyio.dumps_report(json.loads(s1))
         s3 = polyio.dumps_report(json.loads(s2))
-        assert s1 == s2 == s3
+        _assert_same_text(s2, s1)
+        _assert_same_text(s3, s2)
 
     def test_negative_zero_normalized(self):
         assert "-0" not in polyio.dumps_report({"x": -0.0})
@@ -134,6 +230,36 @@ class TestCanonicalJson:
             polyio.dumps_report({"x": math.nan})
         with pytest.raises(InvariantViolation):
             polyio.dumps_report({"x": math.inf})
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("name", LARGE_CURVES)
+    def test_large_report_matches_oracle(self, name, indent, reports):
+        rep = reports[name]
+        if name.startswith("hyperbolic"):
+            assert rep["solution"]["class"]["kind"] == name.split("-")[1]
+        _assert_same_text(polyio.dumps_report(rep, indent=indent), _oracle_dumps(rep, indent))
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("name", list(EDGE_SHAPES))
+    def test_edge_shape_matches_oracle(self, name, indent):
+        obj = EDGE_SHAPES[name]
+        assert polyio.dumps_report(obj, indent=indent) == _oracle_dumps(obj, indent)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_non_finite_in_block_rejected(self, shape, value):
+        obj = [1.0, value, 2.0] if shape == "vector" else [[1.0, 2.0], [value, 3.0]]
+        with pytest.raises(InvariantViolation, match=f"non-finite value {value!r} in report"):
+            polyio.dumps_report({"x": obj})
+
+    def test_first_non_finite_is_named(self):
+        with pytest.raises(InvariantViolation, match="non-finite value -inf in report"):
+            polyio.dumps_report({"v": [1.0, 2.0], "m": [[1.0, -math.inf], [math.nan, 1.0]]})
+
+    def test_negative_zero_normalized_in_blocks(self):
+        text = polyio.dumps_report({"v": [-0.0, 1.0], "m": [[1.0, -0.0], [-0.0, 2.0]]})
+        assert "-0" not in text
+        assert [line.strip(" ,") for line in text.splitlines()].count("0") == 3
 
 
 class TestCliExitCodes:
@@ -193,6 +319,40 @@ class TestCliExitCodes:
         code, out = run_cli(["solve"], '{"geometry":"euclidean","lengths":[3,4,5]}', capsys, monkeypatch)
         assert code == 1
         assert json.loads(out)["error"]["code"] == "internal_error"
+
+    def test_huge_integer_length_exit_1(self, capsys, monkeypatch):
+        # an integer too large for a float ends its own request, not the batch
+        huge = "1" + "0" * 400
+        batch = f'[{{"geometry":"euclidean","lengths":[{huge},1,1]}},{{"geometry":"euclidean","lengths":[3,4,5]}}]'
+        code, out = run_cli(["solve"], batch, capsys, monkeypatch)
+        assert code == 1
+        reps = json.loads(out)
+        assert reps[0]["error"]["code"] == "invalid_input"
+        assert reps[1]["status"] == "ok"
+
+    def test_integer_past_digit_limit_exit_1(self, capsys, monkeypatch):
+        # json.loads refuses an integer literal longer than the interpreter's
+        # digit limit (4300 by default) with a ValueError, not a JSONDecodeError
+        huge = "1" + "0" * 5000
+        code, out = run_cli(["solve"], f'{{"geometry":"euclidean","lengths":[{huge},1,1]}}', capsys, monkeypatch)
+        assert code == 1
+        expected = "parse" if hasattr(sys, "get_int_max_str_digits") else "invalid_input"
+        assert json.loads(out)["error"]["code"] == expected
+
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "request.json"
+        path.write_bytes(b'{"geometry":"euclidean","lengths":[3,4,5\xff]}')
+        code = cli.main(["solve", str(path)])
+        assert code == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"]["code"] == "io"
+        assert "utf-8" in rep["error"]["message"]
+
+    def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["solve"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "io"
 
     def test_geometry_flag(self, capsys, monkeypatch):
         code, out = run_cli(
