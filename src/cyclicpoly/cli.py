@@ -117,7 +117,8 @@ def main(argv=None) -> int:
         )
         sys.stdout.write(polyio.dumps_report(report))
         return EXIT_INVALID
-    except ValueError as exc:  # e.g. an integer literal past the int digit limit
+    except (ValueError, RecursionError) as exc:  # e.g. an integer literal past
+        # the int digit limit, or arrays nested past the recursion limit
         sys.stdout.write(polyio.dumps_report(_error_report("parse", f"invalid JSON: {exc}")))
         return EXIT_INVALID
 

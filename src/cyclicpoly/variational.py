@@ -7,16 +7,29 @@ For sides l the functional
 is strictly concave on the open simplex D_n = {a > 0, sum a = 2*pi}, and its
 critical points are exactly the central-angle vectors of cyclic polygons
 with sides l: the gradient condition says -log|2 sin(a_k/2)| + log(l_k) is
-the same constant log(R) for every k, i.e. l_k = 2 R sin(a_k/2).
+the same constant log(R) for every k, i.e. l_k = 2 R sin(a_k/2).  The
+concavity is not termwise: Cl2''(x) = -cot(x/2)/2 is positive on (pi, 2*pi).
+But at most one angle a_m can pass pi.  When one does, the others' half-angles
+x_j = a_j/2 sum to X < pi/2, and the Hessian restricted to the simplex is
+negative definite exactly when
 
-``maximize_on_simplex`` ascends f_l with Newton steps in the reduced
-coordinates (a_1..a_{n-1}; the last angle is eliminated by the sum
-constraint), a backtracking line search, and a floor that keeps every angle
-positive -- the inward derivative at the simplex boundary is +infinity, so
-the maximizer of a feasible instance is interior and the ascent cannot
-stall at the boundary.  This path is deliberately independent of the
-radius root-finder in ``euclidean``; agreement of the two is a library
-self-check.
+    s = 1 - sum_{j != m} tan(x_j) / tan(X) > 0,
+
+which holds for n >= 3 because tan is superadditive on [0, pi/2).
+
+``maximize_on_simplex`` ascends f_l in reduced coordinates that eliminate
+the largest angle a_m, so every other h_j = Cl2''(a_j) is negative and the
+reduced Hessian is diag(h_j) + h_m * ones.  The Sherman-Morrison formula
+solves for the Newton step in O(n); its denominator is the s above.  When the
+other angles are small, s is of the order of their square and is lost to
+rounding, so where the computed s is not positive the step falls back to the
+diagonal step (g_m - g_j) / h_j, which is still an ascent direction.  A
+backtracking line search follows, and every step is capped at half the
+distance to the simplex boundary, so every angle stays positive -- the
+inward derivative at the boundary is +infinity, so the maximizer of a
+feasible instance is interior and the ascent cannot stall there.  This path
+is deliberately independent of the radius root-finder in ``euclidean``;
+agreement of the two is a library self-check.
 """
 
 from __future__ import annotations
@@ -38,10 +51,6 @@ __all__ = [
     "check_critical_point",
     "CriticalPointMismatch",
 ]
-
-#: line-search floor on every angle (radians)
-_ANGLE_FLOOR = 1e-14
-
 
 def _match(lengths: SideLengths, angles: CentralAngles) -> None:
     if lengths.n != angles.n:
@@ -90,6 +99,33 @@ def _objective(logl: np.ndarray, a: np.ndarray) -> float:
     return math.fsum((_clausen2_vec(a) + logl * a).tolist())
 
 
+def _ascent_direction(g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """An ascent direction v (sum v = 0) at a, and whether it is the Newton step.
+
+    O(n): the largest angle a_m is eliminated, and the reduced Hessian
+    diag(h_j) + h_m * ones is inverted with the Sherman-Morrison formula.
+    """
+    m = int(np.argmax(a))
+    h = -0.5 / np.tan(0.5 * a)
+    h_m = h[m]
+    h[m] = 1.0  # the m-th entries below must vanish; any nonzero value works
+    v = (g[m] - g) / h  # the diagonal step, an ascent direction since h_j < 0
+    w = 1.0 / h
+    w[m] = 0.0
+    s = 1.0 + h_m * float(w.sum())  # Sherman-Morrison denominator
+    newton = s > 0.0
+    if newton:
+        v -= (h_m * float(v.sum()) / s) * w
+    v[m] = -float(v.sum())
+    return v, newton
+
+
+def _step(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    a_new = a + t * v
+    a_new *= TWO_PI / math.fsum(a_new.tolist())
+    return a_new
+
+
 def maximize_on_simplex(
     lengths,
     *,
@@ -102,73 +138,57 @@ def maximize_on_simplex(
     euclidean.check_polygon_inequalities); for such inputs the maximizer is
     the unique interior critical point, where all gradient components agree
     (the shared value is log of the circumradius).  Convergence is declared
-    when the gradient spread max - min drops to grad_spread_tol.
+    when the gradient spread max - min drops to grad_spread_tol; one more
+    step is then taken, and kept if its spread is no larger.
     """
     lengths = SideLengths.coerce(lengths)
     n = lengths.n
     logl = np.log(lengths.values)
 
     a = np.full(n, TWO_PI / n)
-    fa = _objective(logl, a)
-    spread = math.inf
+    fa = None  # f_ell at a, evaluated only when the line search needs it
+    converged = None  # (angles, spread) where the spread test first passed
 
     for _ in range(max_iterations):
         g = _gradient(logl, a)
         spread = float(g.max() - g.min())
+        if converged is not None:
+            return CentralAngles(a if spread <= converged[1] else converged[0])
         if spread <= grad_spread_tol:
-            return CentralAngles(a)
+            converged = (a, spread)
 
-        # Newton step in reduced coordinates: eliminating a_n turns the
-        # restricted Hessian into diag(h_1..h_{n-1}) + h_n * ones, which is
-        # negative definite by strict concavity.
-        h = -0.5 / np.tan(0.5 * a)
-        gamma = g[:-1] - g[-1]
-        H = np.diag(h[:-1]) + h[-1]
-        try:
-            d = np.linalg.solve(H, -gamma)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None:
-            v = np.append(d, -d.sum())
-            if float(g @ v) <= 0.0:
-                d = None
-        if d is None:
-            v = g - g.mean()  # projected gradient fallback
+        v, newton = _ascent_direction(g, a)
         slope = float(g @ v)
-        if slope <= 0.0:
+        if not slope > 0.0:
             break  # numerically stationary
 
-        # cap the step so every angle stays above the floor
-        t = 1.0
+        # cap the step at half the distance to the simplex boundary
         falling = v < 0.0
-        if np.any(falling):
-            t = min(t, 0.99 * float(np.min((a[falling] - _ANGLE_FLOOR) / -v[falling])))
-        if t <= 0.0:
-            break
+        t = min(1.0, 0.5 * float(np.min(a[falling] / -v[falling])))
 
-        if d is not None and spread < 1e-5:
+        a_new = _step(a, t, v)
+        if newton and spread < 1e-5:
             # endgame: objective improvements drop below evaluation noise,
             # so skip the line search and let Newton contract the iterate
-            a_new = a + t * v
-            a_new *= TWO_PI / math.fsum(a_new.tolist())
-            if np.all(a_new > 0.0):
-                a, fa = a_new, _objective(logl, a_new)
-                continue
-
-        improved = False
-        for _ in range(60):
-            a_new = a + t * v
-            a_new *= TWO_PI / math.fsum(a_new.tolist())
-            if np.all(a_new > 0.0):
+            fa = None
+        else:
+            if fa is None:
+                fa = _objective(logl, a)
+            for _ in range(60):
                 f_new = _objective(logl, a_new)
                 if f_new >= fa + 1e-4 * t * slope:
-                    a, fa = a_new, f_new
-                    improved = True
+                    fa = f_new
                     break
-            t *= 0.5
-        if not improved:
-            break
+                t *= 0.5
+                a_new = _step(a, t, v)
+            else:
+                break  # no ascent within 60 halvings
+        if np.array_equal(a_new, a):
+            break  # the step is lost to rounding: numerically stationary
+        a = a_new
 
+    if converged is not None:
+        return CentralAngles(converged[0])
     g = _gradient(logl, a)
     spread = float(g.max() - g.min())
     if spread <= grad_spread_tol:

@@ -339,6 +339,15 @@ class TestCliExitCodes:
         expected = "parse" if hasattr(sys, "get_int_max_str_digits") else "invalid_input"
         assert json.loads(out)["error"]["code"] == expected
 
+    def test_deeply_nested_json_exit_1(self, capsys, monkeypatch):
+        # the decoder gives up on nesting past the recursion limit with a
+        # RecursionError, which must still end in a report
+        code, out = run_cli(["solve"], "[" * 100_000, capsys, monkeypatch)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"]["code"] == "parse"
+        assert "recursion" in rep["error"]["message"]
+
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "request.json"
         path.write_bytes(b'{"geometry":"euclidean","lengths":[3,4,5\xff]}')
