@@ -20,8 +20,9 @@ F_ELL_345_AT_CRIT = 10.832510712006361
 
 THALES_345 = (2 * math.asin(0.6), 2 * math.asin(0.8), math.pi)
 
-# a center-outside quadrilateral on which a Newton ascent that eliminates the
-# last angle and steps to within 1e-14 of the boundary failed to converge
+# a center-outside quadrilateral on which a Sherman-Morrison Newton ascent
+# that eliminates the last angle, with steps allowed to within 1e-14 of the
+# boundary, stalls at gradient spread 0.28
 HARD_QUAD = [1.4774909679267925, 2.622668132096232, 0.5691554691862191, 0.6494128844753946]
 
 
