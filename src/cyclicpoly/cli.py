@@ -97,7 +97,9 @@ def main(argv=None) -> int:
         p.add_argument("--geometry", choices=polyio.GEOMETRIES,
                        help="override the request's geometry")
         p.add_argument("--tolerance", type=float,
-                       help="root-finder relative tolerance override")
+                       help="root-finder relative tolerance: ends the Newton "
+                       "phase once a step is below it; polishing steps follow, "
+                       "so a looser value changes no answer beyond ~1e-12")
         p.add_argument("--horocycle-band", type=float, dest="horocycle_band",
                        help="hyperbolic horocycle classification band (relative)")
         if name == "render":

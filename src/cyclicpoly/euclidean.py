@@ -3,8 +3,8 @@ angle recovery, planar vertex construction, and area.
 
 A cyclic polygon with sides l_1..l_n inscribed in a circle of radius R has
 central angles a_k with sum(a_k) = 2*pi and l_k = 2 R sin(a_k/2).  The
-solver root-finds in R on a single monotone equation chosen by a case split
-on the position of the circumcenter:
+solver finds R as the root of a single monotone equation chosen by a case
+split on the position of the circumcenter:
 
 * center inside (or on) the polygon: sum_k arcsin(l_k / 2R) = pi,
 * center cut off by the longest side m (its angle exceeds pi):
@@ -12,12 +12,14 @@ on the position of the circumcenter:
 
 The split is decided at the smallest admissible radius R0 = l_max/2 by
 comparing sum_{k != m} arcsin(l_k / l_m) with pi/2.  Each branch is solved
-by bracketed bisection plus a Newton polish.  A polygon exists iff every
+by safeguarded Newton (rootfind.bisect_newton) in t = sqrt(R - R0), where
+the equation has no square-root singularity.  A polygon exists iff every
 side is strictly shorter than the sum of the others, and it is unique.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +41,10 @@ __all__ = [
 #: R may not exceed this multiple of the longest side (beyond it the input
 #: is degenerate to working precision)
 _MAX_RADIUS_FACTOR = 1e15
+
+#: bound on the relative rounding error of each computed half angle; a
+#: defect value below this times the sum of the half angles has no sign
+_ANGLE_REL_NOISE = 1e-15
 
 STRICT = "strict"
 EQUALITY = "equality"
@@ -91,92 +97,104 @@ def check_polygon_inequalities(lengths) -> PolygonIneqStatus:
     return PolygonIneqStatus(VIOLATED, m, margin)
 
 
-def _require_strict(lengths: SideLengths) -> PolygonIneqStatus:
-    status = check_polygon_inequalities(lengths)
-    if status.kind == EQUALITY:
+def _require_strict(lengths: SideLengths) -> tuple[int, float]:
+    """Index m of the longest side and its margin; raises NoPolygonError
+    unless the polygon inequalities hold strictly."""
+    m, margin = dominance(lengths.values)
+    if margin == 0.0:
         raise NoPolygonError(
-            f"side {status.index} equals the sum of the others: the polygon "
+            f"side {m} equals the sum of the others: the polygon "
             "degenerates to a flat (doubly traversed) segment",
-            index=status.index,
+            index=m,
             equality=True,
         )
-    if status.kind == VIOLATED:
+    if not margin < 0.0:
         raise NoPolygonError(
-            f"side {status.index} exceeds the sum of the others by {status.margin:g}: "
+            f"side {m} exceeds the sum of the others by {margin:g}: "
             "no polygon exists",
-            index=status.index,
+            index=m,
         )
-    return status
+    return m, margin
 
 
 def solve_euclidean(lengths, *, rel_tol: float = 1e-14) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
     Raises NoPolygonError when the polygon inequalities fail, and
-    NearDegenerateError when they hold by so little that the circumradius
-    overflows 1e15 times the longest side.
+    NearDegenerateError when they hold by so little that no radius up to
+    1e15 times the longest side changes the sign of the defect by more
+    than its rounding error.
     """
     lengths = SideLengths.coerce(lengths)
-    _require_strict(lengths)
-    l = lengths.values
-    n = lengths.n
-    m = int(np.argmax(l))
+    m, _ = _require_strict(lengths)
+    # the problem is homogeneous of degree 1: solve with the longest side
+    # scaled into [0.5, 1) by an exact power of two, so that no product
+    # below over- or underflows at extreme scales
+    scale = math.frexp(float(lengths.values[m]))[1]
+    l = np.ldexp(lengths.values, -scale)
     lm = float(l[m])
-    others = np.delete(l, m)
     r0 = 0.5 * lm
 
     # branch selection at the smallest admissible radius
-    h0 = math.fsum(np.arcsin(np.minimum(1.0, others / lm)).tolist())
+    h0 = math.fsum(np.arcsin(np.minimum(1.0, np.delete(l, m) / lm)).tolist())
     center_inside = h0 >= 0.5 * math.pi
 
-    if center_inside:
+    # The unknown is t = sqrt(R - R0).  With h_k = R0 - l_k/2 >= 0 the half
+    # angle arcsin(l_k / 2R) is atan2(l_k/2, sqrt((t^2 + h_k)(R + l_k/2))),
+    # which has no square-root singularity at R = R0 (t = 0), so Newton
+    # converges quadratically even when the root is close to R0.
+    half = 0.5 * l
+    gap = r0 - half
+    sign = np.ones(l.size)
+    if not center_inside:
+        sign[m] = -1.0
+    sign_half = sign * half
+    target = math.pi if center_inside else 0.0
 
-        def f(radius: float) -> float:
-            return math.fsum(
-                np.arcsin(np.minimum(1.0, l / (2.0 * radius))).tolist()
-            ) - math.pi
+    @functools.lru_cache(maxsize=1)  # f' follows f at the same t
+    def half_angles(t: float):
+        tt = t * t
+        radius = r0 + tt
+        q = np.sqrt((tt + gap) * (radius + half))
+        return radius, q, np.arctan2(half, q)
 
-        def dfdx(radius: float) -> float:
-            s = l / (2.0 * radius)
-            with np.errstate(divide="ignore"):
-                d = s / np.sqrt(np.maximum(0.0, 1.0 - s * s))
-            return -math.fsum((d / radius).tolist())
+    def f(t: float) -> float:
+        return math.fsum((sign * half_angles(t)[2]).tolist()) - target
 
-    else:
+    def dfdx(t: float) -> float:
+        if t * t == 0.0:
+            return math.nan  # q_m = 0 at R = R0: no Newton step from there
+        radius, q, _ = half_angles(t)
+        return -2.0 * t / radius * math.fsum((sign_half / q).tolist())
 
-        def f(radius: float) -> float:
-            return math.fsum(
-                np.arcsin(others / (2.0 * radius)).tolist()
-            ) - math.asin(min(1.0, lm / (2.0 * radius)))
-
-        def dfdx(radius: float) -> float:
-            s = others / (2.0 * radius)
-            d = math.fsum((s / np.sqrt(1.0 - s * s) / radius).tolist())
-            sm = lm / (2.0 * radius)
-            return -d + sm / math.sqrt(max(0.0, 1.0 - sm * sm)) / radius
-
-    # bracket: f(r0) >= 0 > f(inf) on the inside branch, f(r0) < 0 < f(inf)
-    # on the outside branch; grow the upper end until the sign flips
-    f0 = f(r0)
-    if f0 == 0.0:
-        radius = r0
-        iterations = 0
-    else:
-        hi = 2.0 * r0
-        sign0 = f0 > 0.0
-        while (f(hi) > 0.0) == sign0:
+    # bracket: f(0) >= 0 > f(inf) on the inside branch, f(0) < 0 < f(inf)
+    # on the outside branch; grow the upper end until the sign flips by more
+    # than the rounding error of the half angles
+    f0 = f(0.0)
+    t = 0.0
+    iterations = 0
+    if f0 != 0.0:
+        hi = math.sqrt(r0)
+        while True:
+            fhi = f(hi)
+            if (fhi > 0.0) != (f0 > 0.0) and abs(fhi) > _ANGLE_REL_NOISE * (
+                math.fsum(half_angles(hi)[2].tolist()) + target
+            ):
+                break
             hi *= 2.0
-            if hi > _MAX_RADIUS_FACTOR * lm:
+            if r0 + hi * hi > _MAX_RADIUS_FACTOR * lm:
                 raise NearDegenerateError(
                     "circumradius exceeds 1e15 times the longest side; the input "
                     "is degenerate to working precision",
                     index=m,
                 )
-        res = bisect_newton(f, r0, hi, dfdx=dfdx, rel_tol=rel_tol)
-        radius = res.root
+        res = bisect_newton(f, 0.0, hi, dfdx=dfdx, rel_tol=rel_tol)
+        t = res.root
         iterations = res.iterations
 
-    alpha = 2.0 * np.arcsin(np.minimum(1.0, l / (2.0 * radius)))
+    radius, _, a = half_angles(t)
+    radius = math.ldexp(radius, scale)
+    alpha = 2.0 * a
     if not center_inside:
         alpha[m] = TWO_PI - alpha[m]
     # distribute the residual angle defect uniformly instead of dumping it
@@ -185,7 +203,7 @@ def solve_euclidean(lengths, *, rel_tol: float = 1e-14) -> EuclideanSolution:
     angles = CentralAngles(alpha)
 
     return EuclideanSolution(
-        radius=float(radius),
+        radius=radius,
         angles=angles,
         vertices=vertices_on_circle(radius, angles),
         center_inside=center_inside,

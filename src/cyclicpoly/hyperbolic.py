@@ -24,8 +24,8 @@ Constructions, one per class:
 
       Phi(x) = arsinh(lbar_n / 2x) - sum_{k<n} arsinh(lbar_k / 2x),
 
-  found by bracketed bisection plus a Newton polish (Phi(1) is half the
-  negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
+  found by safeguarded Newton (Phi(1) is half the negative length
+  deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
   Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar) then mark the vertex feet
   along the axis geodesic, and vertices are
   (Rbar sinh t, sinh R, Rbar cosh t).

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclicpoly import euclidean
+from cyclicpoly import euclidean, polyio
 from cyclicpoly.domain import TWO_PI
 from cyclicpoly.errors import DomainError, NearDegenerateError, NoPolygonError
 
@@ -200,3 +200,45 @@ class TestSolveProperties:
         # any certifiable range and the solver must fail crisply
         with pytest.raises(NearDegenerateError):
             euclidean.solve_euclidean([1.0, 1.0, 1.0, 2.9999999999999996])
+
+
+class TestSingularityFreeVariable:
+    """The radius is solved in t = sqrt(R - R0), where the half angles have
+    no square-root singularity at R0 = l_max / 2."""
+
+    @pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
+    def test_needle_solves(self, geometry):
+        # the root sits within ~1e-17 of R0; asin near 1 used to lose half
+        # the digits of the short side's angle
+        report = polyio.cli_solve(polyio.parse_request({"geometry": geometry, "lengths": [1e-8, 1, 1]}))
+        assert report["diagnostics"]["residuals"]["side_recovery_max_rel_error"] <= 1e-14
+
+    def test_near_semicircle_angles(self):
+        # center 2.4e-12 (relative) outside the dominant chord
+        lengths = [0.07153032284579745, 0.17433379726023074, 0.19970445219152042,
+                   0.23524571411210815, 0.909213773530669, 0.5210908795761939,
+                   0.14282016623868107]
+        report = polyio.cli_solve(polyio.parse_request({"geometry": "spherical", "lengths": lengths}))
+        assert report["diagnostics"]["residuals"]["side_recovery_max_rel_error"] <= 1e-14
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_extreme_scales(self, k):
+        # homogeneous of degree 1: an exact power-of-two scale changes no bit
+        base = [0.7, 1.3, 1.1, 0.9]
+        radius = euclidean.solve_euclidean(base).radius
+        scaled = euclidean.solve_euclidean([math.ldexp(x, k) for x in base]).radius
+        assert scaled == math.ldexp(radius, k)
+
+    @pytest.mark.parametrize(
+        "lengths,index,equality,message",
+        [
+            ([1, 1, 2], 2, True, "side 2 equals the sum of the others: the polygon "
+             "degenerates to a flat (doubly traversed) segment"),
+            ([1, 2.5, 1], 1, False, "side 1 exceeds the sum of the others by 0.5: no polygon exists"),
+        ],
+    )
+    def test_refusal_text(self, lengths, index, equality, message):
+        with pytest.raises(NoPolygonError) as info:
+            euclidean.solve_euclidean(lengths)
+        assert str(info.value) == message
+        assert info.value.index == index and info.value.equality == equality

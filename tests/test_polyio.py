@@ -392,8 +392,9 @@ class TestCliExitCodes:
         assert reps[1]["status"] == "error"
 
     def test_tolerance_flag(self, capsys, monkeypatch):
-        # a loose bisection tolerance is rescued by the Newton polish; the
-        # report is still certified against the module tolerances
+        # a loose tolerance only ends the Newton phase early; the polish
+        # still reaches the noise floor, and the report is still certified
+        # against the module tolerances
         code, out = run_cli(
             ["solve", "--tolerance", "1e-6"],
             '{"geometry":"euclidean","lengths":[1,1,1,2.9]}',
