@@ -60,6 +60,12 @@ class SolveRequest:
     tolerance: float | None = None
     horocycle_band: float | None = None
 
+    @property
+    def band(self) -> float:
+        """The horocycle band: the request's own, or the library default."""
+        band = self.horocycle_band
+        return hyperbolic.DEFAULT_HOROCYCLE_BAND if band is None else band
+
 
 def _float(v: int | float, what: str) -> float:
     try:
@@ -135,30 +141,43 @@ def _side_vectors(vertices: np.ndarray) -> np.ndarray:
     return np.roll(vertices, -1, axis=0) - vertices
 
 
+def _unit_exponent(x: np.ndarray) -> int:
+    """The e that brings max |x| into [0.5, 1) as x * 2**e.  Scaling by 2**e is
+    exact, so a gate in these units matches one in the caller's units bit for
+    bit wherever the latter's squares neither under- nor overflow."""
+    return -math.frexp(float(np.max(np.abs(x))))[1]
+
+
 def _max_rel_err(recovered: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(recovered - expected) / expected))
 
 
-def _angle_sum_err(angles) -> float:
-    return abs(math.fsum(angles.values.tolist()) - TWO_PI)
+def _angle_check(angles) -> tuple:
+    return ("angle_sum_abs_error", abs(math.fsum(angles.values.tolist()) - TWO_PI), 1e-11)
+
+
+def _foot_check(a: np.ndarray, dom: int) -> tuple:
+    """Foot spacings of a hypercycle or hyperbola: the dominant one is the sum of the rest."""
+    error = float(abs(a[dom] - math.fsum(np.delete(a, dom).tolist())))
+    return ("foot_additivity_abs_error", error, 1e-10)
 
 
 def _relation_spread(ratios: np.ndarray) -> float:
     return float((ratios.max() - ratios.min()) / ratios.mean())
 
 
-def _enforce(residuals: dict, tolerances: dict) -> None:
-    for key, tol in tolerances.items():
-        value = residuals[key]
-        if not value <= tol:  # fails closed: a NaN residual is a violation
-            raise InvariantViolation(f"solution residual {key} = {value:.3e} exceeds {tol:g}")
+def _enforce(checks: list) -> None:
+    """Raise on the first (name, value, bound) row whose value is not within its bound."""
+    for name, value, bound in checks:
+        if not value <= bound:  # fails closed: a NaN residual is a violation
+            raise InvariantViolation(f"solution residual {name} = {value:.3e} exceeds {bound:g}")
 
 
-def _finish(sol, residuals: dict, limits: dict, payload: dict, cross: dict, convention: str):
-    """Gate the residuals against their limits, then assemble the report body."""
-    _enforce(residuals, limits)
+def _finish(sol, checks: list, payload: dict, cross: dict, convention: str):
+    """Gate the (name, value, bound) rows, then assemble the report body."""
+    _enforce(checks)
     diagnostics = {
-        "residuals": residuals,
+        "residuals": {name: value for name, value, _ in checks},
         "solver_iterations": int(sol.iterations),
         "cross_check": cross,
     }
@@ -167,19 +186,15 @@ def _finish(sol, residuals: dict, limits: dict, payload: dict, cross: dict, conv
 
 def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolution):
     l = lengths.values
-    sides = np.linalg.norm(_side_vectors(sol.vertices), axis=1)
-    residuals = {
-        "side_recovery_max_rel_error": _max_rel_err(sides, l),
-        "angle_sum_abs_error": _angle_sum_err(sol.angles),
-        "curve_residency_max_rel_error": float(
-            np.max(np.abs(np.linalg.norm(sol.vertices, axis=1) - sol.radius)) / sol.radius
-        ),
-    }
-    limits = {
-        "side_recovery_max_rel_error": 1e-9,
-        "angle_sum_abs_error": 1e-11,
-        "curve_residency_max_rel_error": 1e-10,
-    }
+    e = _unit_exponent(sol.vertices)
+    v, r = np.ldexp(sol.vertices, e), math.ldexp(sol.radius, e)
+    sides = np.linalg.norm(_side_vectors(v), axis=1)
+    residency = float(np.max(np.abs(np.linalg.norm(v, axis=1) - r)) / r)
+    checks = [
+        ("side_recovery_max_rel_error", _max_rel_err(sides, np.ldexp(l, e)), 1e-9),
+        _angle_check(sol.angles),
+        ("curve_residency_max_rel_error", residency, 1e-10),
+    ]
     ratios = l / (2.0 * np.sin(0.5 * sol.angles.values))
     payload = {
         "radius": float(sol.radius),
@@ -188,29 +203,23 @@ def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolutio
         "vertices": sol.vertices.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["euclidean"])
+    return _finish(sol, checks, payload, cross, _CONVENTIONS["euclidean"])
 
 
 def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolution):
     l = lengths.values
-    chords = np.linalg.norm(_side_vectors(sol.vertices), axis=1)
+    d = _side_vectors(sol.vertices)
+    e = _unit_exponent(d)
+    chords = np.ldexp(np.linalg.norm(np.ldexp(d, e), axis=1), -e)
     sides = 2.0 * np.arcsin(np.minimum(1.0, chords / 2.0))
     axis_dots = sol.vertices[:, 2]
-    residuals = {
-        "side_recovery_max_rel_error": _max_rel_err(sides, l),
-        "angle_sum_abs_error": _angle_sum_err(sol.angles),
-        "curve_residency_max_abs_error": float(
-            max(
-                np.max(np.abs(np.linalg.norm(sol.vertices, axis=1) - 1.0)),
-                axis_dots.max() - axis_dots.min(),
-            )
-        ),
-    }
-    limits = {
-        "side_recovery_max_rel_error": 1e-10,
-        "angle_sum_abs_error": 1e-11,
-        "curve_residency_max_abs_error": 1e-12,
-    }
+    norms = np.linalg.norm(sol.vertices, axis=1)
+    residency = float(max(np.max(np.abs(norms - 1.0)), axis_dots.max() - axis_dots.min()))
+    checks = [
+        ("side_recovery_max_rel_error", _max_rel_err(sides, l), 1e-10),
+        _angle_check(sol.angles),
+        ("curve_residency_max_abs_error", residency, 1e-12),
+    ]
     ratios = 2.0 * np.sin(0.5 * l) / (2.0 * np.sin(0.5 * sol.angles.values))
     payload = {
         "chordal_radius": float(sol.chordal_radius),
@@ -219,7 +228,7 @@ def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolutio
         "vertices": sol.vertices.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["spherical"])
+    return _finish(sol, checks, payload, cross, _CONVENTIONS["spherical"])
 
 
 def _hyp_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,97 +239,74 @@ def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolu
     l = lengths.values
     v = sol.vertices
     d = _side_vectors(v)
-    chords = np.sqrt(_hyp_dot(d, d))
-    sides = 2.0 * np.arcsinh(chords / 2.0)
-    kind = sol.curve_class.kind
+    e = _unit_exponent(d)
+    d = np.ldexp(d, e)
+    sides = 2.0 * np.arcsinh(np.ldexp(np.sqrt(_hyp_dot(d, d)), -e) / 2.0)
+    cls = sol.curve_class
+    kind = cls.kind
+    side_tol = 1e-9
     if kind == hyperbolic.CIRCLE:
         functional = v[:, 2]
     elif kind == hyperbolic.HOROCYCLE:
         functional = v[:, 2] - v[:, 0]  # == 1 on the horocycle
+        # a banded horocycle answers the nearest exact-horocycle instance: its
+        # dominant side may differ from the request by the classification margin
+        chord_dom = 2.0 * math.sinh(0.5 * float(l[cls.index]))
+        side_tol = max(side_tol, 1.5 * abs(cls.margin) / chord_dom)
     else:
         functional = v[:, 1]
-    residuals = {
-        "side_recovery_max_rel_error": _max_rel_err(sides, l),
-        "curve_residency_max_abs_error": float(np.max(np.abs(_hyp_dot(v, v) + 1.0))),
-        "curve_functional_max_spread": float(functional.max() - functional.min()),
-    }
-    # a banded horocycle answers the nearest exact-horocycle instance: its
-    # dominant side may differ from the request by the classification margin
-    side_tol = 1e-9
-    if kind == hyperbolic.HOROCYCLE:
-        chord_dom = 2.0 * math.sinh(0.5 * float(l[sol.curve_class.index]))
-        side_tol = max(side_tol, 1.5 * abs(sol.curve_class.margin) / chord_dom)
-    limits = {
-        "side_recovery_max_rel_error": side_tol,
-        "curve_residency_max_abs_error": 1e-10,
-        "curve_functional_max_spread": 1e-10,
-    }
-
+    checks = [
+        ("side_recovery_max_rel_error", _max_rel_err(sides, l), side_tol),
+        ("curve_residency_max_abs_error", float(np.max(np.abs(_hyp_dot(v, v) + 1.0))), 1e-10),
+        ("curve_functional_max_spread", float(functional.max() - functional.min()), 1e-10),
+    ]
     payload = {
-        "class": {
-            "kind": kind,
-            "dominant": int(sol.curve_class.index),
-            "margin": float(sol.curve_class.margin),
-        },
+        "class": {"kind": kind, "dominant": int(cls.index), "margin": float(cls.margin)},
         "vertices": v.tolist(),
     }
-    cross = {}
+    chords = 2.0 * np.sinh(0.5 * l)
     if kind == hyperbolic.CIRCLE:
         payload["circumradius"] = float(sol.circumradius)
         payload["angles"] = sol.angles.values.tolist()
-        ratios = (2.0 * np.sinh(0.5 * l)) / (2.0 * np.sin(0.5 * sol.angles.values))
-        cross["radius_relation_rel_spread"] = _relation_spread(ratios)
-        residuals["angle_sum_abs_error"] = _angle_sum_err(sol.angles)
-        limits["angle_sum_abs_error"] = 1e-11
+        ratios = chords / (2.0 * np.sin(0.5 * sol.angles.values))
+        cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
+        checks.append(_angle_check(sol.angles))
     elif kind == hyperbolic.HOROCYCLE:
         payload["offsets"] = sol.offsets.tolist()
-        cross["chord_margin_rel"] = float(
-            sol.curve_class.margin / math.fsum((2.0 * np.sinh(0.5 * l)).tolist())
-        )
+        cross = {"chord_margin_rel": float(cls.margin / math.fsum(chords.tolist()))}
     else:
-        payload["axis_distance"] = float(sol.axis_distance)
-        payload["foot_distances"] = sol.foot_distances.values.tolist()
         a = sol.foot_distances.values
-        dom = sol.curve_class.index
-        residuals["foot_additivity_abs_error"] = float(
-            abs(a[dom] - math.fsum(np.delete(a, dom).tolist()))
-        )
-        limits["foot_additivity_abs_error"] = 1e-10
-        ratios = (2.0 * np.sinh(0.5 * l)) / (2.0 * np.sinh(0.5 * a))
-        cross["radius_relation_rel_spread"] = _relation_spread(ratios)
-    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS[f"hyperbolic:{kind}"])
+        payload["axis_distance"] = float(sol.axis_distance)
+        payload["foot_distances"] = a.tolist()
+        checks.append(_foot_check(a, cls.index))
+        ratios = chords / (2.0 * np.sinh(0.5 * a))
+        cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
+    return _finish(sol, checks, payload, cross, _CONVENTIONS[f"hyperbolic:{kind}"])
 
 
 def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolution):
     l = lengths.values
-    v = sol.vertices
+    e = _unit_exponent(sol.vertices)
+    v, r = np.ldexp(sol.vertices, e), math.ldexp(sol.radius, e)
     d = _side_vectors(v)
     sides = np.sqrt(d[:, 0] ** 2 - d[:, 1] ** 2)
-    rsq = sol.radius * sol.radius
+    rsq = r * r
+    residency = float(np.max(np.abs(v[:, 0] ** 2 - v[:, 1] ** 2 + rsq)) / rsq)
     a = sol.foot_params.values
-    residuals = {
-        "side_recovery_max_rel_error": _max_rel_err(sides, l),
-        "curve_residency_max_rel_error": float(
-            np.max(np.abs(v[:, 0] ** 2 - v[:, 1] ** 2 + rsq)) / rsq
-        ),
-        "foot_additivity_abs_error": float(
-            abs(a[sol.dominant] - math.fsum(np.delete(a, sol.dominant).tolist()))
-        ),
-    }
-    limits = {
-        "side_recovery_max_rel_error": 1e-9,
-        "curve_residency_max_rel_error": 1e-10,
-        "foot_additivity_abs_error": 1e-10,
-    }
+    checks = [
+        ("side_recovery_max_rel_error", _max_rel_err(sides, np.ldexp(l, e)), 1e-9),
+        ("curve_residency_max_rel_error", residency, 1e-10),
+        _foot_check(a, sol.dominant),
+    ]
     ratios = l / (2.0 * np.sinh(0.5 * a))
     payload = {
         "radius": float(sol.radius),
         "dominant": int(sol.dominant),
         "foot_params": a.tolist(),
-        "vertices": v.tolist(),
+        "vertices": sol.vertices.tolist(),
     }
     cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, residuals, limits, payload, cross, _CONVENTIONS["minkowski"])
+    return _finish(sol, checks, payload, cross, _CONVENTIONS["minkowski"])
 
 
 def _solve(request: SolveRequest):
@@ -333,9 +319,7 @@ def _solve(request: SolveRequest):
         sol = spherical.solve_spherical(lengths, rel_tol=tol or 1e-14)
         return lengths, sol, _spherical_report_body(lengths, sol)
     if request.geometry == "hyperbolic":
-        band = request.horocycle_band
-        if band is None:
-            band = hyperbolic.DEFAULT_HOROCYCLE_BAND
+        band = request.band
         sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=band, rel_tol=tol or 1e-12)
         return lengths, sol, _hyperbolic_report_body(lengths, sol)
     sol = minkowski.solve_minkowski(lengths, rel_tol=tol or 1e-12)
@@ -358,10 +342,7 @@ def cli_classify(request: SolveRequest) -> dict:
     """Classify the inscribing curve of a hyperbolic instance."""
     if request.geometry != "hyperbolic":
         raise RequestError("classify applies to geometry \"hyperbolic\" only")
-    band = request.horocycle_band
-    if band is None:
-        band = hyperbolic.DEFAULT_HOROCYCLE_BAND
-    cls = hyperbolic.classify(SideLengths(request.lengths), horocycle_band=band)
+    cls = hyperbolic.classify(SideLengths(request.lengths), horocycle_band=request.band)
     return {
         "status": "ok",
         "geometry": "hyperbolic",
@@ -369,7 +350,7 @@ def cli_classify(request: SolveRequest) -> dict:
             "kind": cls.kind,
             "dominant": int(cls.index),
             "margin": float(cls.margin),
-            "band": float(band),
+            "band": float(request.band),
         },
     }
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,13 +108,115 @@ class TestSolveReports:
 class TestResidualGate:
     def test_nan_residual_fails(self):
         with pytest.raises(InvariantViolation, match="x = nan"):
-            polyio._enforce({"x": math.nan}, {"x": 1e-9})
+            polyio._enforce([("ok", 0.0, 1e-9), ("x", math.nan, 1e-9)])
 
     def test_nan_residual_never_reports_ok(self, monkeypatch):
         monkeypatch.setattr(polyio, "_max_rel_err", lambda recovered, expected: math.nan)
         request = polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4, 5]})
         with pytest.raises(InvariantViolation, match="side_recovery_max_rel_error"):
             polyio.cli_solve(request)
+
+
+HOROCYCLE_BANDED = [1, 1, HOROCYCLE_L3 * (1 + 1e-7)]
+SIDE, RESIDENCY, FUNCTIONAL = (
+    "side_recovery_max_rel_error",
+    "curve_residency_max_abs_error",
+    "curve_functional_max_spread",
+)
+# the gate rows of each curve class, in gate order: (name, bound)
+GATE_TABLE = {
+    "euclidean": [
+        (SIDE, 1e-9),
+        ("angle_sum_abs_error", 1e-11),
+        ("curve_residency_max_rel_error", 1e-10),
+    ],
+    "spherical": [(SIDE, 1e-10), ("angle_sum_abs_error", 1e-11), (RESIDENCY, 1e-12)],
+    "hyperbolic-circle": [
+        (SIDE, 1e-9),
+        (RESIDENCY, 1e-10),
+        (FUNCTIONAL, 1e-10),
+        ("angle_sum_abs_error", 1e-11),
+    ],
+    # the banded horocycle's side bound is 1.5 |margin| / chord of the dominant side
+    "hyperbolic-horocycle": [(SIDE, None), (RESIDENCY, 1e-10), (FUNCTIONAL, 1e-10)],
+    "hyperbolic-hypercycle": [
+        (SIDE, 1e-9),
+        (RESIDENCY, 1e-10),
+        (FUNCTIONAL, 1e-10),
+        ("foot_additivity_abs_error", 1e-10),
+    ],
+    "minkowski": [
+        (SIDE, 1e-9),
+        ("curve_residency_max_rel_error", 1e-10),
+        ("foot_additivity_abs_error", 1e-10),
+    ],
+}
+GATE_REQUESTS = {
+    "euclidean": {"geometry": "euclidean", "lengths": [3, 4, 5]},
+    "spherical": {"geometry": "spherical", "lengths": [1, 1, 1]},
+    "hyperbolic-circle": {"geometry": "hyperbolic", "lengths": [1, 1, 1]},
+    "hyperbolic-horocycle": {
+        "geometry": "hyperbolic",
+        "lengths": HOROCYCLE_BANDED,
+        "options": {"horocycle_band": 1e-6},
+    },
+    "hyperbolic-hypercycle": {"geometry": "hyperbolic", "lengths": [1, 1, 1.9]},
+    "minkowski": {"geometry": "minkowski", "lengths": [1, 1, 3]},
+}
+
+
+class TestGateTable:
+    @pytest.mark.parametrize("curve", list(GATE_TABLE))
+    def test_rows_in_order(self, curve, monkeypatch):
+        seen = []
+        enforce = polyio._enforce
+
+        def capture(checks):
+            seen.append(list(checks))
+            return enforce(checks)
+
+        monkeypatch.setattr(polyio, "_enforce", capture)
+        rep = polyio.cli_solve(polyio.parse_request(GATE_REQUESTS[curve]))
+        if curve.startswith("hyperbolic"):
+            assert rep["solution"]["class"]["kind"] == curve.split("-")[1]
+        want = GATE_TABLE[curve]
+        if curve == "hyperbolic-horocycle":
+            margin = rep["solution"]["class"]["margin"]
+            side_bound = 1.5 * abs(margin) / (2.0 * math.sinh(0.5 * HOROCYCLE_BANDED[2]))
+            assert side_bound > 1e-9  # the banded bound, not the floor
+            want = [(SIDE, max(1e-9, side_bound))] + want[1:]
+        (rows,) = seen
+        assert [(name, bound) for name, _, bound in rows] == want
+        assert list(rep["diagnostics"]["residuals"]) == [name for name, _ in want]
+        assert [value for _, value, _ in rows] == list(rep["diagnostics"]["residuals"].values())
+
+
+# tiny and huge scales whose squared norms under- or overflow in binary64
+SCALE_REQUESTS = [
+    *(
+        {"geometry": g, "lengths": [s, s, 1.5 * s]}
+        for s in (1e-300, 1e-160)
+        for g in ("euclidean", "spherical", "hyperbolic")
+    ),
+    {"geometry": "minkowski", "lengths": [1e-300, 1e-300, 3e-300]},
+    {"geometry": "euclidean", "lengths": [1e200, 1e200, 1.5e200]},
+    {"geometry": "minkowski", "lengths": [1e200, 1e200, 3e200]},
+]
+
+
+@pytest.mark.parametrize(
+    "req", SCALE_REQUESTS, ids=lambda r: f"{r['geometry']}-{r['lengths'][0]:g}"
+)
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_extreme_scale_gates_in_power_of_two_units(req, command):
+    run = polyio.cli_solve if command == "solve" else polyio.cli_verify
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run(polyio.parse_request(req))
+        text = polyio.dumps_report(rep)
+    assert json.loads(text)["status"] == "ok"
+    residuals = rep["diagnostics"]["residuals"] if command == "solve" else rep["checks"]
+    assert residuals["side_recovery_max_rel_error"] <= 1e-14
 
 
 def _large_request(curve: str, n: int = 1000) -> dict:
