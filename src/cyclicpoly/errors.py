@@ -65,10 +65,12 @@ class ReverseInequalityError(InfeasibleError):
 
 
 class NearDegenerateError(InfeasibleError):
-    """The circumradius overflows the representable range.
+    """The circumradius, or a vertex coordinate, passes the float range.
 
     Raised for inputs that satisfy the polygon inequalities by less than
-    roughly machine precision, where no meaningful solution can be computed.
+    roughly machine precision, where no meaningful solution can be computed,
+    and for vertices that lie too far out along a hypercycle, horocycle or
+    hyperbola, or a Minkowski radius too small, to be represented.
     """
 
     code = "near_degenerate"

@@ -35,10 +35,12 @@ centered on (0, 0, 1) with the first vertex in the x1 x3-plane; horocycle
 marking starts at (0, 0, 1); the hypercycle axis is the geodesic in the
 x1 x3-plane and vertices take x2 = +sinh(R).  When the dominant side is not
 last in caller order, marking starts at the vertex that follows it;
-vertices are always reported in caller side order.  A vertex's parameter
-(horocycle offset or axis coordinate t) is the running sum of the marks
-before it, accumulated in double-double arithmetic in one O(n) pass
-(domain.prefix_sums).
+vertices are always reported in caller side order.  One placement step
+(place) serves the horocycle, the hypercycle and minkowski's hyperbola: a
+vertex's parameter (horocycle offset or axis coordinate t) is the running
+sum of the marks before it, accumulated in double-double arithmetic in one
+O(n) pass (domain.prefix_sums), and a coordinate past the float range
+raises NearDegenerateError.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .domain import CentralAngles, FootDistances, SideLengths, dominance, prefix_sums
-from .errors import DomainError, HorocycleDriftWarning, InvariantViolation
+from .errors import DomainError, HorocycleDriftWarning, InvariantViolation, NearDegenerateError
 from .euclidean import _require_strict, solve_euclidean
 from .rootfind import RootResult, bisect_newton
 
@@ -227,34 +229,41 @@ def dominant_last(dom: int, n: int) -> list[int]:
     return [(dom + 1 + j) % n for j in range(n)]
 
 
-def mark_feet(rot: np.ndarray, x: float, order: list[int]):
-    """Foot marks a_k = 2 arsinh(rot_k / 2x) of the sides ``rot`` (in marking order).
+def place(marks: np.ndarray, dom: int, x: float | None = None):
+    """Vertex placement shared by the hypercycle, the horocycle and the
+    Minkowski hyperbola, from the ``marks`` in marking order
+    (dominant_last(dom, n)).
 
-    ``x`` is the root of phi: Rbar = cosh(R) on a hypercycle, the radius R
-    on a Minkowski hyperbola.  Returns (t, feet): t[j] is the running sum of
-    the marks before vertex j in marking order, and ``feet`` holds the marks
-    in caller order.
+    A vertex's parameter t is the running sum of the marks before it.  The
+    points are x (sinh t, cosh t), with x = Rbar = cosh(R) on a hypercycle
+    and the radius R on a hyperbola, or the horocycle points
+    (t^2/2, t, 1 + t^2/2) when x is None.  Returns t, and the marks and the
+    points in caller order.  Raises NearDegenerateError when a coordinate
+    passes the float range.
     """
-    a = 2.0 * np.arcsinh(rot / (2.0 * x))
-    foot = np.empty(a.size)
-    foot[order] = a
-    return prefix_sums(a.tolist())[0], FootDistances(foot)
+    t = prefix_sums(marks.tolist())[0]
+    with np.errstate(over="ignore"):
+        if x is None:
+            s = np.array(t)
+            h = 0.5 * s * s
+            points = np.column_stack((h, s, 1.0 + h))
+        else:
+            try:  # math.sinh, math.cosh: np.sinh, np.cosh differ in the last bits
+                points = x * np.column_stack((list(map(math.sinh, t)), list(map(math.cosh, t))))
+            except OverflowError:
+                points = np.array([math.inf])
+    if not np.isfinite(points).all():
+        raise NearDegenerateError(
+            f"vertex coordinates pass the float range (largest parameter t = {t[-1]:.6g})"
+        )
+    k = -(dom + 1) % marks.size  # marking order starts at caller side dom + 1
+    marks, points = (np.concatenate((a[k:], a[:k])) for a in (marks, points))
+    return np.array(t), marks, points
 
 
-def _build_horocycle(
-    cls: HypCurveClass, order: list[int], rot_chords: np.ndarray, iterations: int = 0
-) -> HyperbolicSolution:
-    offsets = np.array(prefix_sums(rot_chords.tolist())[0])
-    vertices = np.empty((rot_chords.size, 3))
-    for j, s in enumerate(offsets):
-        # unit-speed parametrization of the horocycle x3 - x1 = 1
-        vertices[order[j]] = (0.5 * s * s, s, 1.0 + 0.5 * s * s)
-    return HyperbolicSolution(
-        curve_class=cls,
-        vertices=vertices,
-        offsets=offsets,
-        iterations=iterations,
-    )
+def _build_horocycle(cls: HypCurveClass, rot_chords: np.ndarray, iterations: int = 0):
+    offsets, _, vertices = place(rot_chords, cls.index)
+    return HyperbolicSolution(cls, vertices, offsets=offsets, iterations=iterations)
 
 
 def solve_hyperbolic(
@@ -274,7 +283,6 @@ def solve_hyperbolic(
     lengths = SideLengths.coerce(lengths)
     cls = classify(lengths, horocycle_band=horocycle_band)
     n = lengths.n
-    order = dominant_last(cls.index, n)
 
     if cls.kind == CIRCLE:
         planar = solve_euclidean(cls.chords, rel_tol=rel_tol)
@@ -289,11 +297,12 @@ def solve_hyperbolic(
             iterations=planar.iterations,
         )
 
-    rot_chords = cls.chords[order]
+    rot = cls.chords[dominant_last(cls.index, n)]
     if cls.kind == HOROCYCLE:
-        return _build_horocycle(cls, order, rot_chords)
+        return _build_horocycle(cls, rot)
 
-    res = _solve_phi_root(rot_chords, 1.0, rel_tol)
+    rot = SideLengths(rot)  # checked once, for the root and the marks
+    res = _solve_phi_root(rot, 1.0, rel_tol)
     rbar = res.root
     if rbar > _RBAR_OVERFLOW:
         warnings.warn(
@@ -303,17 +312,14 @@ def solve_hyperbolic(
             stacklevel=2,
         )
         fallback = replace(cls, kind=HOROCYCLE)
-        return _build_horocycle(fallback, order, rot_chords, iterations=res.iterations)
+        return _build_horocycle(fallback, rot.values, iterations=res.iterations)
 
+    _, feet, points = place(2.0 * _half_feet(rbar, rot), cls.index, rbar)
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
-    t, feet = mark_feet(rot_chords, rbar, order)
-    vertices = np.empty((n, 3))
-    for j, tj in enumerate(t):
-        vertices[order[j]] = (rbar * math.sinh(tj), sinh_r, rbar * math.cosh(tj))
     return HyperbolicSolution(
         curve_class=cls,
-        vertices=vertices,
+        vertices=np.column_stack((points[:, 0], np.full(n, sinh_r), points[:, 1])),
         axis_distance=math.acosh(rbar),
-        foot_distances=feet,
+        foot_distances=FootDistances(feet),
         iterations=res.iterations,
     )

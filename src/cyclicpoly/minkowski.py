@@ -13,9 +13,10 @@ case, with the side lengths themselves playing the role of chords (the
 ambient plane is already flat), over the full interval (0, inf): Phi tends
 to -inf at 0 and is eventually positive.  Rapidity increments
 a_k = 2 arsinh(l_k / 2R) then place the vertices (R sinh t, R cosh t); with
-the dominant side last, a_n = sum of the others.  A vertex's rapidity t is
-the running sum of the increments before it, accumulated in double-double
-arithmetic in one O(n) pass (domain.prefix_sums).
+the dominant side last, a_n = sum of the others.  The placement step is the
+hypercycle's (hyperbolic.place): a vertex's rapidity t is the running sum
+of the increments before it, accumulated in double-double arithmetic in
+one O(n) pass (domain.prefix_sums).
 
 The variational functional phi_ell built from Clh2 has the solved polygon
 as its constrained critical point but is neither concave nor convex, so it
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import FootDistances, SideLengths, Vector, dominance
-from .errors import DimensionMismatchError, InvariantViolation, ReverseInequalityError
-from .hyperbolic import _solve_phi_root, dominant_last, mark_feet, phi
+from .errors import DimensionMismatchError, NearDegenerateError, ReverseInequalityError
+from .hyperbolic import _half_feet, _solve_phi_root, dominant_last, phi, place
 from .specfun import clh2
 
 __all__ = [
@@ -92,30 +93,28 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
             index=feas.dominant,
         )
     l = lengths.values
-    n = lengths.n
     dom = feas.dominant
-    order = dominant_last(dom, n)
-    rot = SideLengths(l[order])
+    rot = SideLengths(l[dominant_last(dom, lengths.n)])
 
     # bracket in (0, inf): Phi ~ (n-2) log x - const near 0, so shrink the
-    # lower end until it is negative, then grow the upper end
+    # lower end until it is negative, then grow the upper end.  The halving
+    # stops within ~1100 steps, at 0 or where l_dom / 2x passes the float range.
     lo = 0.5 * float(l[dom])
-    for _ in range(2000):
-        if phi(lo, rot) < 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise InvariantViolation("could not find a negative lower bracket for phi")
+    while not phi(lo, rot) < 0.0:
+        below, lo = lo, 0.5 * lo
+        if lo == 0.0 or math.isinf(float(l[dom]) / (2.0 * lo)):
+            raise NearDegenerateError(
+                f"the radius is below {below:g}, too small for it or its rapidities "
+                "to be represented",
+                index=dom,
+            )
     res = _solve_phi_root(rot, lo, rel_tol)
     radius = res.root
 
-    t, feet = mark_feet(rot.values, radius, order)
-    vertices = np.empty((n, 2))
-    for j, tj in enumerate(t):
-        vertices[order[j]] = (radius * math.sinh(tj), radius * math.cosh(tj))
+    _, feet, vertices = place(2.0 * _half_feet(radius, rot), dom, radius)
     return MinkowskiSolution(
         radius=radius,
-        foot_params=feet,
+        foot_params=FootDistances(feet),
         dominant=dom,
         vertices=vertices,
         iterations=res.iterations,

@@ -10,7 +10,9 @@ checked against its module tolerance; a violation raises rather than
 emitting a bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
-exact); serialization of a parsed canonical report is byte-identical.
+exact), all in one template pass: one walk builds a %-template with a %.17g
+field per float, and one % fills it.  Serialization of a parsed canonical
+report is byte-identical.
 """
 
 from __future__ import annotations
@@ -403,83 +405,49 @@ def cli_render(report: dict) -> str:
 # canonical JSON
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise InvariantViolation(f"non-finite value {x!r} in report")
-    if x == 0.0:
-        x = 0.0  # avoid "-0", which would reparse as an integer
-    return format(x, ".17g")
-
-
 def _layout(item: str, count: int, pad: str, step: str) -> str:
-    """The text _emit gives a list of `count` values that each print as `item`."""
+    """The text of a list of `count` values that each print as `item`."""
     return "[\n" + ",\n".join([pad + step + item] * count) + "\n" + pad + "]"
 
 
-def _float_block(obj: list, indent: int, level: int) -> str | None:
-    """A float vector, or a matrix of equal-width float rows, in one format call.
-
-    Returns the text _emit would give, or None for any other list and for a
-    block holding a non-finite value, which the per-value path then emits or
-    refuses naming that value.
-    """
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        flat, width = obj, 0
-    elif kinds == {list} and len(set(map(len, obj))) == 1:
-        flat, width = [x for row in obj for x in row], len(obj[0])
-        if set(map(type, flat)) != {float}:
-            return None
-    else:
-        return None
-    if not all(map(math.isfinite, flat)):
-        return None
-    pad, step = " " * (indent * level), " " * indent
-    cell = _layout("%.17g", width, pad + step, step) if width else "%.17g"
-    template = _layout(cell, len(obj), pad, step)
-    # 0.0 + -0.0 is 0.0.  tuple() of a list allocates once; a tuple built
-    # from an iterator is resized as it fills, which let peak RSS creep up
-    # over many reports.
-    return template % tuple([0.0 + x for x in flat])
-
-
-def _emit(obj, out: list, indent: int, level: int) -> None:
+def _emit(obj, out: list, floats: list, indent: int, level: int) -> None:
+    """Append obj's text to `out` as a template with a %.17g field per float,
+    and its floats to `floats`; a float vector or a matrix of equal-width
+    float rows gets its fields from _layout, in one piece."""
     pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    step = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise InvariantViolation(f"non-string report key {k!r}")
-            out.append(f"{inner}{json.dumps(k)}: ")
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
+            key = json.dumps(k).replace("%", "%%")
+            out.append(("{\n" if i == 0 else ",\n") + pad + step + key + ": ")
+            _emit(v, out, floats, indent, level + 1)
+        out.append("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+        flat, cell = obj, "%.17g"
+        kinds = set(map(type, obj)) if type(obj) is list else None
+        if kinds == {list} and len(set(map(len, obj))) == 1:
+            flat = [x for row in obj for x in row]
+            cell = _layout(cell, len(obj[0]), pad + step, step)
+            kinds = set(map(type, flat))
+        if kinds == {float}:
+            out.append(_layout(cell, len(obj), pad, step))
+            floats += flat
             return
-        block = _float_block(obj, indent, level) if type(obj) is list else None
-        if block is not None:
-            out.append(block)
-            return
-        out.append("[\n")
         for i, v in enumerate(obj):
-            out.append(inner)
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+            out.append(("[\n" if i == 0 else ",\n") + pad + step)
+            _emit(v, out, floats, indent, level + 1)
+        out.append("\n" + pad + "]" if obj else "[]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(_format_float(obj))
+        out.append("%.17g")
+        floats.append(obj)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(json.dumps(obj).replace("%", "%%"))
     elif obj is None:
         out.append("null")
     else:
@@ -490,6 +458,13 @@ def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
     """Serialize a report, or a list of reports (CLI batch mode), with
     17-significant-digit floats, newline-terminated."""
     out: list[str] = []
-    _emit(report, out, indent, 0)
+    floats: list = []
+    _emit(report, out, floats, indent, 0)
+    if not all(map(math.isfinite, floats)):
+        bad = next(x for x in floats if not math.isfinite(x))
+        raise InvariantViolation(f"non-finite value {bad!r} in report")
     out.append("\n")
-    return "".join(out)
+    # 0.0 + -0.0 is 0.0: "-0" would reparse as an integer.  tuple() of a
+    # list allocates once; a tuple built from an iterator is resized as it
+    # fills, which let peak RSS creep up over many reports.
+    return "".join(out) % tuple([0.0 + x for x in floats])

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from cyclicpoly import euclidean, hyperbolic
+from cyclicpoly.domain import prefix_sums
 from cyclicpoly.errors import (
     DomainError,
     HorocycleDriftWarning,
     InvariantViolation,
+    NearDegenerateError,
     NoPolygonError,
 )
 
@@ -337,3 +339,30 @@ class TestFootDistances:
         for _ in range(500):
             x, y = rng.uniform(1e-3, 5.0, 2)
             assert math.sinh(x + y) > math.sinh(x) + math.sinh(y)
+
+
+class TestPlace:
+    @pytest.mark.parametrize("x", [None, 1.0000001, 2.5, 3e7])
+    @pytest.mark.parametrize("dom", [0, 4, 8])
+    def test_matches_the_per_vertex_loop(self, x, dom):
+        # the array placement does the same IEEE operations as this loop, so
+        # it must agree bit for bit
+        marks = np.exp(np.random.default_rng(dom).uniform(-12.0, 1.0, 9))
+        order = hyperbolic.dominant_last(dom, marks.size)
+        t, feet, points = hyperbolic.place(marks, dom, x)
+        ref = np.empty_like(points)
+        for j, tj in enumerate(prefix_sums(marks.tolist())[0]):
+            if x is None:
+                ref[order[j]] = (0.5 * tj * tj, tj, 1.0 + 0.5 * tj * tj)
+            else:
+                ref[order[j]] = (x * math.sinh(tj), x * math.cosh(tj))
+            assert t[j] == tj
+            assert feet[order[j]] == marks[j]
+        assert np.array_equal(points, ref)
+
+    @pytest.mark.parametrize("x", [None, 1.5])
+    def test_coordinates_past_the_float_range(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearDegenerateError):
+                hyperbolic.place(np.array([1e200, 1e200, 1.0]), 2, x)

@@ -304,6 +304,7 @@ EDGE_SHAPES = {
     "np_float64": {"v": [np.float64(0.1), 0.2], "m": [[0.3, np.float64(0.4)]]},
     "nested_matrix": {"m": [[[1.0, 2.0]], [[3.0, 4.0]]]},
     "one_value": {"v": [0.1], "m": [[0.1]]},
+    "percent": {"100%": "%s %% %(x)s %", "%d": [0.5, 1.5]},
     "batch": [
         {"status": "ok", "solution": {"angles": [1.5, 2.0], "vertices": [[1.0, 0.0], [0.0, 1.0]]}},
         {"status": "error", "error": {"code": "parse", "message": "x"}},
@@ -403,6 +404,24 @@ class TestCliExitCodes:
         rep = json.loads(out)
         assert rep["status"] == "error"
         assert rep["error"]["code"] == expected_code
+
+    @pytest.mark.parametrize(
+        "request_text",
+        [
+            # vertex coordinates past the float range: hypercycle, hyperbola, horocycle
+            '{"geometry":"hyperbolic","lengths":[1000,1,1000.5]}',
+            '{"geometry":"minkowski","lengths":[1e-200,1,3]}',
+            '{"geometry":"hyperbolic","lengths":[800.0,800.0,801.3862943611199]}',
+            # a Minkowski radius below the smallest subnormal
+            '{"geometry":"minkowski","lengths":[5e-324,1,3]}',
+        ],
+    )
+    def test_out_of_range_exit_2(self, request_text, capsys, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["solve"], request_text, capsys, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "near_degenerate"
 
     def test_malformed_json_exit_1(self, capsys, monkeypatch):
         code, out = run_cli(["solve"], '{"geometry": euclidean}', capsys, monkeypatch)
