@@ -124,14 +124,19 @@ class HyperbolicSolution:
 
 
 def hyp_chord(ell: float) -> float:
-    """Chordal length 2 sinh(l/2) of a hyperbolic segment of length l > 0."""
+    """Chordal length 2 sinh(l/2) of a hyperbolic segment of length l > 0.
+
+    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324."""
     ell = float(ell)
     if not math.isfinite(ell) or ell <= 0.0:
         raise DomainError(f"hyperbolic length must be positive and finite, got {ell!r}")
     try:
-        return 2.0 * math.sinh(0.5 * ell)
+        chord = 2.0 * math.sinh(0.5 * ell)
     except OverflowError:
         raise DomainError(f"hyperbolic length {ell!r} overflows the chord map") from None
+    if chord == 0.0:
+        raise NearDegenerateError(f"hyperbolic length {ell!r} is too short for its chord")
+    return chord
 
 
 def classify(lengths, *, horocycle_band: float = DEFAULT_HOROCYCLE_BAND) -> HypCurveClass:

@@ -5,9 +5,11 @@ A request is a JSON object {"geometry": ..., "lengths": [...], "options":
 "horocycle_band" (hyperbolic classification band).  A report is a JSON
 object with "status" "ok" or "error"; ok reports carry the geometry-tagged
 solution payload plus diagnostics (recovery residuals, solver iterations,
-cross-check deltas).  Every residual in an emitted ok report has been
-checked against its module tolerance; a violation raises rather than
-emitting a bad report.
+cross-check deltas).  One gate pass serves every curve class: each side is
+recovered as the root of its side vector's ambient quadratic form, in
+power-of-two units, pulled back through the chord map, and every residual
+row is checked against its bound before a report is emitted; a violation
+raises rather than emitting a bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
 exact), all in one template pass: one walk builds a %-template with a %.17g
@@ -138,9 +140,14 @@ def parse_request(
 # ---------------------------------------------------------------------------
 # solution payloads and diagnostics
 
-
-def _side_vectors(vertices: np.ndarray) -> np.ndarray:
-    return np.roll(vertices, -1, axis=0) - vertices
+#: the signs of each geometry's ambient quadratic form: a side is the root of
+#: its side vector's form, pulled back through the geometry's chord map
+_SIGNS = {
+    "euclidean": np.array([1.0, 1.0]),
+    "spherical": np.array([1.0, 1.0, 1.0]),
+    "hyperbolic": np.array([1.0, 1.0, -1.0]),
+    "minkowski": np.array([1.0, -1.0]),
+}
 
 
 def _unit_exponent(x: np.ndarray) -> int:
@@ -150,22 +157,40 @@ def _unit_exponent(x: np.ndarray) -> int:
     return -math.frexp(float(np.max(np.abs(x))))[1]
 
 
+def _form(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The quadratic form of each row of x, its squares summed in the order
+    np.linalg.norm sums them (a BLAS product need not)."""
+    return (x * x * signs).sum(axis=1)
+
+
 def _max_rel_err(recovered: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(recovered - expected) / expected))
 
 
-def _angle_check(angles) -> tuple:
-    return ("angle_sum_abs_error", abs(math.fsum(angles.values.tolist()) - TWO_PI), 1e-11)
+def _side_recovery(geometry: str, d: np.ndarray, e: int, l: np.ndarray) -> float:
+    """The largest relative error of the sides recovered from the side vectors d:
+    the root of each one's form in units of 2**-e, pulled back through the chord
+    map (in those units where the map is the identity)."""
+    chords = np.sqrt(_form(np.ldexp(d, e), _SIGNS[geometry]))
+    if geometry in ("euclidean", "minkowski"):
+        return _max_rel_err(chords, np.ldexp(l, e))
+    half = np.ldexp(chords, -e) / 2.0
+    arcs = np.arcsinh(half) if geometry == "hyperbolic" else np.arcsin(np.minimum(1.0, half))
+    return _max_rel_err(2.0 * arcs, l)
 
 
-def _foot_check(a: np.ndarray, dom: int) -> tuple:
-    """Foot spacings of a hypercycle or hyperbola: the dominant one is the sum of the rest."""
+def _angle_check(angles, chords: np.ndarray) -> tuple:
+    """The angle-sum row, and the radii chord / 2 sin(angle / 2) of each side."""
+    a = angles.values
+    row = ("angle_sum_abs_error", abs(math.fsum(a.tolist()) - TWO_PI), 1e-11)
+    return row, chords / (2.0 * np.sin(0.5 * a))
+
+
+def _foot_check(a: np.ndarray, dom: int, chords: np.ndarray) -> tuple:
+    """Foot spacings of a hypercycle or hyperbola: the row saying the dominant one
+    is the sum of the rest, and the radii chord / 2 sinh(spacing / 2)."""
     error = float(abs(a[dom] - math.fsum(np.delete(a, dom).tolist())))
-    return ("foot_additivity_abs_error", error, 1e-10)
-
-
-def _relation_spread(ratios: np.ndarray) -> float:
-    return float((ratios.max() - ratios.min()) / ratios.mean())
+    return ("foot_additivity_abs_error", error, 1e-10), chords / (2.0 * np.sinh(0.5 * a))
 
 
 def _enforce(checks: list) -> None:
@@ -175,157 +200,112 @@ def _enforce(checks: list) -> None:
             raise InvariantViolation(f"solution residual {name} = {value:.3e} exceeds {bound:g}")
 
 
-def _finish(sol, checks: list, payload: dict, cross: dict, convention: str):
-    """Gate the (name, value, bound) rows, then assemble the report body."""
+def _report_body(geometry: str, lengths: SideLengths, sol):
+    """Gate a solution through one list of (name, value, bound) rows, then return
+    its report's payload, diagnostics and convention."""
+    l, v, signs = lengths.values, sol.vertices, _SIGNS[geometry]
+    d = np.roll(v, -1, axis=0) - v
+    e = _unit_exponent(d)
+    side = _side_recovery(geometry, d, e, l)
+    side_bound = 1e-10 if geometry == "spherical" else 1e-9
+    curve = geometry
+    if geometry == "euclidean":
+        r = math.ldexp(sol.radius, e)
+        residency = float(np.max(np.abs(np.sqrt(_form(np.ldexp(v, e), signs)) - r)) / r)
+        row, ratios = _angle_check(sol.angles, l)
+        rows = [row, ("curve_residency_max_rel_error", residency, 1e-10)]
+        payload = {
+            "radius": float(sol.radius),
+            "center_inside": bool(sol.center_inside),
+            "angles": sol.angles.values.tolist(),
+            "vertices": v.tolist(),
+        }
+    elif geometry == "spherical":
+        axis_dots = v[:, 2]
+        norm_error = np.max(np.abs(np.sqrt(_form(v, signs)) - 1.0))
+        residency = float(max(norm_error, axis_dots.max() - axis_dots.min()))
+        row, ratios = _angle_check(sol.angles, 2.0 * np.sin(0.5 * l))
+        rows = [row, ("curve_residency_max_abs_error", residency, 1e-12)]
+        payload = {
+            "chordal_radius": float(sol.chordal_radius),
+            "circumradius": float(sol.circumradius),
+            "angles": sol.angles.values.tolist(),
+            "vertices": v.tolist(),
+        }
+    elif geometry == "minkowski":
+        r = math.ldexp(sol.radius, e)
+        residency = float(np.max(np.abs(_form(np.ldexp(v, e), signs) + r * r)) / (r * r))
+        a = sol.foot_params.values
+        row, ratios = _foot_check(a, sol.dominant, l)
+        rows = [("curve_residency_max_rel_error", residency, 1e-10), row]
+        payload = {
+            "radius": float(sol.radius),
+            "dominant": int(sol.dominant),
+            "foot_params": a.tolist(),
+            "vertices": v.tolist(),
+        }
+    else:
+        cls = sol.curve_class
+        kind = cls.kind
+        curve = f"hyperbolic:{kind}"
+        chords = 2.0 * np.sinh(0.5 * l)
+        payload = {
+            "class": {"kind": kind, "dominant": int(cls.index), "margin": float(cls.margin)},
+            "vertices": v.tolist(),
+        }
+        if kind == hyperbolic.CIRCLE:
+            functional = v[:, 2]
+            payload["circumradius"] = float(sol.circumradius)
+            payload["angles"] = sol.angles.values.tolist()
+            row, ratios = _angle_check(sol.angles, chords)
+        elif kind == hyperbolic.HOROCYCLE:
+            functional = v[:, 2] - v[:, 0]  # == 1 on the horocycle
+            # a banded horocycle answers the nearest exact-horocycle instance: its
+            # dominant side may differ from the request by the classification margin
+            chord_dom = 2.0 * math.sinh(0.5 * float(l[cls.index]))
+            side_bound = max(side_bound, 1.5 * abs(cls.margin) / chord_dom)
+            payload["offsets"] = sol.offsets.tolist()
+            row, ratios = None, None
+            cross = {"chord_margin_rel": float(cls.margin / math.fsum(chords.tolist()))}
+        else:
+            functional = v[:, 1]
+            a = sol.foot_distances.values
+            payload["axis_distance"] = float(sol.axis_distance)
+            payload["foot_distances"] = a.tolist()
+            row, ratios = _foot_check(a, cls.index, chords)
+        residency = float(np.max(np.abs(_form(v, signs) + 1.0)))
+        rows = [
+            ("curve_residency_max_abs_error", residency, 1e-10),
+            ("curve_functional_max_spread", float(functional.max() - functional.min()), 1e-10),
+        ]
+        if row:
+            rows.append(row)
+    if ratios is not None:
+        spread = (ratios.max() - ratios.min()) / ratios.mean()
+        cross = {"radius_relation_rel_spread": float(spread)}
+    checks = [("side_recovery_max_rel_error", side, side_bound), *rows]
     _enforce(checks)
     diagnostics = {
         "residuals": {name: value for name, value, _ in checks},
         "solver_iterations": int(sol.iterations),
         "cross_check": cross,
     }
-    return payload, diagnostics, convention
-
-
-def _euclidean_report_body(lengths: SideLengths, sol: euclidean.EuclideanSolution):
-    l = lengths.values
-    e = _unit_exponent(sol.vertices)
-    v, r = np.ldexp(sol.vertices, e), math.ldexp(sol.radius, e)
-    sides = np.linalg.norm(_side_vectors(v), axis=1)
-    residency = float(np.max(np.abs(np.linalg.norm(v, axis=1) - r)) / r)
-    checks = [
-        ("side_recovery_max_rel_error", _max_rel_err(sides, np.ldexp(l, e)), 1e-9),
-        _angle_check(sol.angles),
-        ("curve_residency_max_rel_error", residency, 1e-10),
-    ]
-    ratios = l / (2.0 * np.sin(0.5 * sol.angles.values))
-    payload = {
-        "radius": float(sol.radius),
-        "center_inside": bool(sol.center_inside),
-        "angles": sol.angles.values.tolist(),
-        "vertices": sol.vertices.tolist(),
-    }
-    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, checks, payload, cross, _CONVENTIONS["euclidean"])
-
-
-def _spherical_report_body(lengths: SideLengths, sol: spherical.SphericalSolution):
-    l = lengths.values
-    d = _side_vectors(sol.vertices)
-    e = _unit_exponent(d)
-    chords = np.ldexp(np.linalg.norm(np.ldexp(d, e), axis=1), -e)
-    sides = 2.0 * np.arcsin(np.minimum(1.0, chords / 2.0))
-    axis_dots = sol.vertices[:, 2]
-    norms = np.linalg.norm(sol.vertices, axis=1)
-    residency = float(max(np.max(np.abs(norms - 1.0)), axis_dots.max() - axis_dots.min()))
-    checks = [
-        ("side_recovery_max_rel_error", _max_rel_err(sides, l), 1e-10),
-        _angle_check(sol.angles),
-        ("curve_residency_max_abs_error", residency, 1e-12),
-    ]
-    ratios = 2.0 * np.sin(0.5 * l) / (2.0 * np.sin(0.5 * sol.angles.values))
-    payload = {
-        "chordal_radius": float(sol.chordal_radius),
-        "circumradius": float(sol.circumradius),
-        "angles": sol.angles.values.tolist(),
-        "vertices": sol.vertices.tolist(),
-    }
-    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, checks, payload, cross, _CONVENTIONS["spherical"])
-
-
-def _hyp_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
-
-
-def _hyperbolic_report_body(lengths: SideLengths, sol: hyperbolic.HyperbolicSolution):
-    l = lengths.values
-    v = sol.vertices
-    d = _side_vectors(v)
-    e = _unit_exponent(d)
-    d = np.ldexp(d, e)
-    sides = 2.0 * np.arcsinh(np.ldexp(np.sqrt(_hyp_dot(d, d)), -e) / 2.0)
-    cls = sol.curve_class
-    kind = cls.kind
-    side_tol = 1e-9
-    if kind == hyperbolic.CIRCLE:
-        functional = v[:, 2]
-    elif kind == hyperbolic.HOROCYCLE:
-        functional = v[:, 2] - v[:, 0]  # == 1 on the horocycle
-        # a banded horocycle answers the nearest exact-horocycle instance: its
-        # dominant side may differ from the request by the classification margin
-        chord_dom = 2.0 * math.sinh(0.5 * float(l[cls.index]))
-        side_tol = max(side_tol, 1.5 * abs(cls.margin) / chord_dom)
-    else:
-        functional = v[:, 1]
-    checks = [
-        ("side_recovery_max_rel_error", _max_rel_err(sides, l), side_tol),
-        ("curve_residency_max_abs_error", float(np.max(np.abs(_hyp_dot(v, v) + 1.0))), 1e-10),
-        ("curve_functional_max_spread", float(functional.max() - functional.min()), 1e-10),
-    ]
-    payload = {
-        "class": {"kind": kind, "dominant": int(cls.index), "margin": float(cls.margin)},
-        "vertices": v.tolist(),
-    }
-    chords = 2.0 * np.sinh(0.5 * l)
-    if kind == hyperbolic.CIRCLE:
-        payload["circumradius"] = float(sol.circumradius)
-        payload["angles"] = sol.angles.values.tolist()
-        ratios = chords / (2.0 * np.sin(0.5 * sol.angles.values))
-        cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-        checks.append(_angle_check(sol.angles))
-    elif kind == hyperbolic.HOROCYCLE:
-        payload["offsets"] = sol.offsets.tolist()
-        cross = {"chord_margin_rel": float(cls.margin / math.fsum(chords.tolist()))}
-    else:
-        a = sol.foot_distances.values
-        payload["axis_distance"] = float(sol.axis_distance)
-        payload["foot_distances"] = a.tolist()
-        checks.append(_foot_check(a, cls.index))
-        ratios = chords / (2.0 * np.sinh(0.5 * a))
-        cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, checks, payload, cross, _CONVENTIONS[f"hyperbolic:{kind}"])
-
-
-def _minkowski_report_body(lengths: SideLengths, sol: minkowski.MinkowskiSolution):
-    l = lengths.values
-    e = _unit_exponent(sol.vertices)
-    v, r = np.ldexp(sol.vertices, e), math.ldexp(sol.radius, e)
-    d = _side_vectors(v)
-    sides = np.sqrt(d[:, 0] ** 2 - d[:, 1] ** 2)
-    rsq = r * r
-    residency = float(np.max(np.abs(v[:, 0] ** 2 - v[:, 1] ** 2 + rsq)) / rsq)
-    a = sol.foot_params.values
-    checks = [
-        ("side_recovery_max_rel_error", _max_rel_err(sides, np.ldexp(l, e)), 1e-9),
-        ("curve_residency_max_rel_error", residency, 1e-10),
-        _foot_check(a, sol.dominant),
-    ]
-    ratios = l / (2.0 * np.sinh(0.5 * a))
-    payload = {
-        "radius": float(sol.radius),
-        "dominant": int(sol.dominant),
-        "foot_params": a.tolist(),
-        "vertices": sol.vertices.tolist(),
-    }
-    cross = {"radius_relation_rel_spread": _relation_spread(ratios)}
-    return _finish(sol, checks, payload, cross, _CONVENTIONS["minkowski"])
+    return payload, diagnostics, _CONVENTIONS[curve]
 
 
 def _solve(request: SolveRequest):
     lengths = SideLengths(request.lengths)
-    tol = request.tolerance
+    # the solvers' own default tolerances apply unless the request sets one
+    tol = {} if request.tolerance is None else {"rel_tol": request.tolerance}
     if request.geometry == "euclidean":
-        sol = euclidean.solve_euclidean(lengths, rel_tol=tol or 1e-14)
-        return lengths, sol, _euclidean_report_body(lengths, sol)
-    if request.geometry == "spherical":
-        sol = spherical.solve_spherical(lengths, rel_tol=tol or 1e-14)
-        return lengths, sol, _spherical_report_body(lengths, sol)
-    if request.geometry == "hyperbolic":
-        band = request.band
-        sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=band, rel_tol=tol or 1e-12)
-        return lengths, sol, _hyperbolic_report_body(lengths, sol)
-    sol = minkowski.solve_minkowski(lengths, rel_tol=tol or 1e-12)
-    return lengths, sol, _minkowski_report_body(lengths, sol)
+        sol = euclidean.solve_euclidean(lengths, **tol)
+    elif request.geometry == "spherical":
+        sol = spherical.solve_spherical(lengths, **tol)
+    elif request.geometry == "hyperbolic":
+        sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=request.band, **tol)
+    else:
+        sol = minkowski.solve_minkowski(lengths, **tol)
+    return lengths, sol, _report_body(request.geometry, lengths, sol)
 
 
 def cli_solve(request: SolveRequest) -> dict:
@@ -387,18 +367,15 @@ def cli_verify(request: SolveRequest) -> dict:
 
 
 def cli_render(report: dict) -> str:
-    """Render an ok-report (or solve a request first) to an SVG document."""
+    """Render an ok-report (of cli_solve) to an SVG document; refuse an error report."""
     from . import svg
 
-    if "status" in report:
-        if report.get("status") != "ok":
-            err = report.get("error", {})
-            raise InfeasibleError(
-                f"refusing to render an error report: {err.get('message', 'unknown error')}"
-            )
-        return svg.render_report(report)
-    request = parse_request(report)
-    return svg.render_report(cli_solve(request))
+    if report.get("status") != "ok":
+        err = report.get("error", {})
+        raise InfeasibleError(
+            f"refusing to render an error report: {err.get('message', 'unknown error')}"
+        )
+    return svg.render_report(report)
 
 
 # ---------------------------------------------------------------------------

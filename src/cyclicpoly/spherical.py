@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import TWO_PI, CentralAngles, SideLengths
-from .errors import DomainError, InvariantViolation, NoPolygonError, PerimeterError
+from .errors import (
+    DomainError,
+    InvariantViolation,
+    NearDegenerateError,
+    NoPolygonError,
+    PerimeterError,
+)
 from .euclidean import PolygonIneqStatus, check_polygon_inequalities, solve_euclidean
 
 __all__ = [
@@ -70,11 +76,16 @@ class SphericalSolution:
 
 
 def chord_from_arc(ell: float) -> float:
-    """Chord length 2 sin(l/2) of a unit-sphere arc of length l in (0, 2*pi)."""
+    """Chord length 2 sin(l/2) of a unit-sphere arc of length l in (0, 2*pi).
+
+    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324."""
     ell = float(ell)
     if not (0.0 < ell < TWO_PI) or not math.isfinite(ell):
         raise DomainError(f"arc length must lie in (0, 2*pi), got {ell!r}")
-    return 2.0 * math.sin(0.5 * ell)
+    chord = 2.0 * math.sin(0.5 * ell)
+    if chord == 0.0:
+        raise NearDegenerateError(f"arc length {ell!r} is too short for its chord")
+    return chord
 
 
 def check_spherical_feasibility(lengths) -> SphericalFeasibility:

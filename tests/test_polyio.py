@@ -165,6 +165,51 @@ GATE_REQUESTS = {
 }
 
 
+def _independent_gate_values(curve: str, request: dict, rep: dict) -> tuple:
+    """Side recovery and radius-relation spread, each geometry by its own formula:
+    Euclidean and Minkowski in the vertices' power-of-two units, spherical and
+    hyperbolic through 2 arcsin(c/2) and 2 arsinh(c/2) of the side vectors' norms."""
+    l = np.array(request["lengths"], dtype=float)
+    sol = rep["solution"]
+    v = np.array(sol["vertices"])
+    if curve in ("euclidean", "minkowski"):
+        e = -math.frexp(float(np.max(np.abs(v))))[1]
+        d = np.roll(np.ldexp(v, e), -1, axis=0) - np.ldexp(v, e)
+        if curve == "euclidean":
+            sides = np.linalg.norm(d, axis=1)
+        else:
+            sides = np.sqrt(d[:, 0] ** 2 - d[:, 1] ** 2)
+        side = np.max(np.abs(sides - np.ldexp(l, e)) / np.ldexp(l, e))
+        chords = l
+    else:
+        d = np.roll(v, -1, axis=0) - v
+        e = -math.frexp(float(np.max(np.abs(d))))[1]
+        d = np.ldexp(d, e)
+        if curve == "spherical":
+            c = np.ldexp(np.linalg.norm(d, axis=1), -e)
+            sides = 2.0 * np.arcsin(np.minimum(1.0, c / 2.0))
+            chords = 2.0 * np.sin(0.5 * l)
+        else:
+            c = np.ldexp(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] - d[:, 2] * d[:, 2]), -e)
+            sides = 2.0 * np.arcsinh(c / 2.0)
+            chords = 2.0 * np.sinh(0.5 * l)
+        side = np.max(np.abs(sides - l) / l)
+    if "angles" in sol:
+        ratios = chords / (2.0 * np.sin(0.5 * np.array(sol["angles"])))
+    elif "foot_distances" in sol or "foot_params" in sol:
+        a = np.array(sol.get("foot_distances", sol.get("foot_params")))
+        ratios = chords / (2.0 * np.sinh(0.5 * a))
+    else:  # the horocycle has no radius
+        return float(side), None
+    return float(side), float((ratios.max() - ratios.min()) / ratios.mean())
+
+
+def _assert_gate_values(curve: str, request: dict, rep: dict) -> None:
+    side, spread = _independent_gate_values(curve, request, rep)
+    assert rep["diagnostics"]["residuals"][SIDE] == side
+    assert rep["diagnostics"]["cross_check"].get("radius_relation_rel_spread") == spread
+
+
 class TestGateTable:
     @pytest.mark.parametrize("curve", list(GATE_TABLE))
     def test_rows_in_order(self, curve, monkeypatch):
@@ -189,6 +234,16 @@ class TestGateTable:
         assert [(name, bound) for name, _, bound in rows] == want
         assert list(rep["diagnostics"]["residuals"]) == [name for name, _ in want]
         assert [value for _, value, _ in rows] == list(rep["diagnostics"]["residuals"].values())
+        _assert_gate_values(curve, GATE_REQUESTS[curve], rep)
+
+    @pytest.mark.parametrize("curve", list(GATE_TABLE))
+    def test_values_on_irregular_sides(self, curve):
+        # 40 unequal sides, so that neither value is 0.0 by symmetry
+        request = _large_request(curve, n=40)
+        rep = polyio.cli_solve(polyio.parse_request(request))
+        if curve.startswith("hyperbolic"):
+            assert rep["solution"]["class"]["kind"] == curve.split("-")[1]
+        _assert_gate_values(curve, request, rep)
 
 
 # tiny and huge scales whose squared norms under- or overflow in binary64
@@ -414,6 +469,10 @@ class TestCliExitCodes:
             '{"geometry":"hyperbolic","lengths":[800.0,800.0,801.3862943611199]}',
             # a Minkowski radius below the smallest subnormal
             '{"geometry":"minkowski","lengths":[5e-324,1,3]}',
+            # a side whose chord rounds to 0
+            '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1.9]}',
+            '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1]}',
+            '{"geometry":"spherical","lengths":[5e-324,1,1,1]}',
         ],
     )
     def test_out_of_range_exit_2(self, request_text, capsys, monkeypatch):
