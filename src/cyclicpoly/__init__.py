@@ -15,7 +15,6 @@ from .errors import (
     CyclicPolyError,
     DimensionMismatchError,
     DomainError,
-    HorocycleDriftWarning,
     InfeasibleError,
     InfiniteDivergenceError,
     InvariantViolation,
@@ -116,6 +115,5 @@ __all__ = [
     "ConvergenceError",
     "InvariantViolation",
     "InfiniteDivergenceError",
-    "HorocycleDriftWarning",
     "__version__",
 ]

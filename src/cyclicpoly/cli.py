@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    cyclicpoly solve    [INPUT] [--geometry G] [--tolerance T] [--horocycle-band B]
+    cyclicpoly solve    [INPUT] [--geometry G] [--horocycle-band B]
     cyclicpoly classify [INPUT] [--geometry hyperbolic] [--horocycle-band B]
     cyclicpoly render   [INPUT] --out FILE [...]
     cyclicpoly verify   [INPUT] [...]
@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 malformed input or an internal error, 2 geometric
 infeasibility.  Exit 1 covers the error codes "parse", "io" and
 "invalid_input" (the request cannot be read) and "internal_error" (the solver
 did not converge or a solution missed a residual gate); the report's
-error.code tells them apart.
+error.code tells them apart.  A usage error (an unknown command or flag, or a
+bad flag value) also exits 1, with argparse's message on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means infeasible, so exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _error_report(code: str, message: str, side: int | None = None) -> dict:
     err: dict = {"code": code, "message": message}
     if side is not None:
@@ -50,7 +59,6 @@ def _run_one(args, data) -> tuple[dict, int, str | None]:
         request = polyio.parse_request(
             data,
             geometry=args.geometry,
-            tolerance=args.tolerance,
             horocycle_band=args.horocycle_band,
         )
         if args.command == "solve":
@@ -79,7 +87,7 @@ def _read_input(path: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cyclicpoly",
         description="Solve, classify, render, and verify cyclic polygons with "
         "prescribed side lengths in four geometries.",
@@ -96,10 +104,6 @@ def main(argv=None) -> int:
                        help="JSON request file, or '-' for stdin (default)")
         p.add_argument("--geometry", choices=polyio.GEOMETRIES,
                        help="override the request's geometry")
-        p.add_argument("--tolerance", type=float,
-                       help="root-finder relative tolerance: ends the Newton "
-                       "phase once a step is below it; polishing steps follow, "
-                       "so a looser value changes no answer beyond ~1e-12")
         p.add_argument("--horocycle-band", type=float, dest="horocycle_band",
                        help="hyperbolic horocycle classification band (relative)")
         if name == "render":

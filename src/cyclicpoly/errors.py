@@ -100,11 +100,3 @@ class InvariantViolation(CyclicPolyError):
 
 class InfiniteDivergenceError(CyclicPolyError):
     """KL divergence is +infinity: p puts mass where q has none."""
-
-
-class HorocycleDriftWarning(UserWarning):
-    """A hypercycle solve drifted past the representable radius range.
-
-    The returned solution is the horocycle construction; side-length
-    residuals are still reported honestly rather than silently degraded.
-    """

@@ -117,13 +117,13 @@ def _require_strict(lengths: SideLengths) -> tuple[int, float]:
     return m, margin
 
 
-def solve_euclidean(lengths, *, rel_tol: float = 1e-14) -> EuclideanSolution:
+def solve_euclidean(lengths) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
     Raises NoPolygonError when the polygon inequalities fail, and
     NearDegenerateError when they hold by so little that no radius up to
     1e15 times the longest side changes the sign of the defect by more
-    than its rounding error.
+    than its rounding error, or when a side's central angle underflows to 0.
     """
     lengths = SideLengths.coerce(lengths)
     m, _ = _require_strict(lengths)
@@ -151,7 +151,7 @@ def solve_euclidean(lengths, *, rel_tol: float = 1e-14) -> EuclideanSolution:
     sign_half = sign * half
     target = math.pi if center_inside else 0.0
 
-    @functools.lru_cache(maxsize=1)  # f' follows f at the same t
+    @functools.lru_cache(maxsize=2)  # f' follows f at its t; only the t before last is revisited
     def half_angles(t: float):
         tt = t * t
         radius = r0 + tt
@@ -188,11 +188,14 @@ def solve_euclidean(lengths, *, rel_tol: float = 1e-14) -> EuclideanSolution:
                     "is degenerate to working precision",
                     index=m,
                 )
-        res = bisect_newton(f, 0.0, hi, dfdx=dfdx, rel_tol=rel_tol)
+        res = bisect_newton(f, 0.0, hi, dfdx=dfdx, f_lo=f0, f_hi=fhi)
         t = res.root
         iterations = res.iterations
 
     radius, _, a = half_angles(t)
+    if not a.all():
+        k = int(np.argmin(a))
+        raise NearDegenerateError(f"side {k} is too short for its central angle", index=k)
     radius = math.ldexp(radius, scale)
     alpha = 2.0 * a
     if not center_inside:

@@ -24,8 +24,8 @@ Constructions, one per class:
 
       Phi(x) = arsinh(lbar_n / 2x) - sum_{k<n} arsinh(lbar_k / 2x),
 
-  found by safeguarded Newton (Phi(1) is half the negative length
-  deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
+  found by safeguarded Newton to 1e-12 relative (Phi(1) is half the
+  negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
   Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar) then mark the vertex feet
   along the axis geodesic, and vertices are
   (Rbar sinh t, sinh R, Rbar cosh t).
@@ -46,13 +46,12 @@ raises NearDegenerateError.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import CentralAngles, FootDistances, SideLengths, dominance, prefix_sums
-from .errors import DomainError, HorocycleDriftWarning, InvariantViolation, NearDegenerateError
+from .errors import DomainError, InvariantViolation, NearDegenerateError
 from .euclidean import _require_strict, solve_euclidean
 from .rootfind import RootResult, bisect_newton
 
@@ -80,9 +79,8 @@ HYPERCYCLE = "hypercycle"
 #: land within a few ulps of it)
 DEFAULT_HOROCYCLE_BAND = 1e-9
 
-#: a solved Rbar = cosh(R) beyond this is numerically indistinguishable from
-#: the horocycle limit
-_RBAR_OVERFLOW = 1e12
+#: relative tolerance of the phi root solve (rootfind.bisect_newton's rel_tol)
+_PHI_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,12 +184,12 @@ def phi_prime(x: float, chords) -> float:
     return (math.fsum(t[:-1]) - t[-1]) / float(x)
 
 
-def _solve_phi_root(chords, lo: float, rel_tol: float) -> RootResult:
-    """Root of phi on (lo, inf), given phi(lo) < 0; the bracket is grown x2."""
-    chords = SideLengths.coerce(chords)
+def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float | None = None) -> RootResult:
+    """Root of phi on (lo, inf), given phi(lo) < 0 (f_lo, if known); the bracket is grown x2."""
     hi = max(2.0 * lo, float(chords.values.max()))
     for _ in range(400):
-        if phi(hi, chords) > 0.0:
+        f_hi = phi(hi, chords)
+        if f_hi > 0.0:
             break
         hi *= 2.0
     else:
@@ -203,11 +201,13 @@ def _solve_phi_root(chords, lo: float, rel_tol: float) -> RootResult:
         lo,
         hi,
         dfdx=lambda x: phi_prime(x, chords),
-        rel_tol=rel_tol,
+        rel_tol=_PHI_REL_TOL,
+        f_lo=f_lo,
+        f_hi=f_hi,
     )
 
 
-def solve_hypercycle_radius(chords, *, rel_tol: float = 1e-12) -> float:
+def solve_hypercycle_radius(chords) -> float:
     """Unique zero Rbar = cosh(R) of phi in (1, inf); dominant chord last.
 
     Requires chords of an actual hyperbolic polygon, i.e. the dominant chord
@@ -221,12 +221,13 @@ def solve_hypercycle_radius(chords, *, rel_tol: float = 1e-12) -> float:
         raise InvariantViolation(
             "hypercycle condition fails: last chord does not exceed the sum of the others"
         )
-    if phi(1.0, c) >= 0.0:
+    f_lo = phi(1.0, c)
+    if f_lo >= 0.0:
         raise InvariantViolation(
             "phi(1) >= 0: the geodesic lengths behind these chords violate the "
             "polygon inequalities, so no hypercycle polygon exists"
         )
-    return _solve_phi_root(c, 1.0, rel_tol).root
+    return _solve_phi_root(c, 1.0, f_lo).root
 
 
 def dominant_last(dom: int, n: int) -> list[int]:
@@ -266,31 +267,23 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     return np.array(t), marks, points
 
 
-def _build_horocycle(cls: HypCurveClass, rot_chords: np.ndarray, iterations: int = 0):
-    offsets, _, vertices = place(rot_chords, cls.index)
-    return HyperbolicSolution(cls, vertices, offsets=offsets, iterations=iterations)
-
-
 def solve_hyperbolic(
     lengths,
     *,
     horocycle_band: float = DEFAULT_HOROCYCLE_BAND,
-    rel_tol: float = 1e-12,
 ) -> HyperbolicSolution:
     """Construct the unique hyperbolic cyclic polygon with the given sides.
 
-    Classifies the inscribing curve, then dispatches on the class.  Raises
-    NoPolygonError when the polygon inequalities fail.  If a hypercycle
-    solve lands beyond Rbar = 1e12 (possible only with a tiny or zero
-    classification band), the horocycle construction is returned instead,
-    under a HorocycleDriftWarning.
+    Classifies the inscribing curve, then dispatches on the class: a
+    hypercycle instance is always placed on its hypercycle.  Raises
+    NoPolygonError when the polygon inequalities fail.
     """
     lengths = SideLengths.coerce(lengths)
     cls = classify(lengths, horocycle_band=horocycle_band)
     n = lengths.n
 
     if cls.kind == CIRCLE:
-        planar = solve_euclidean(cls.chords, rel_tol=rel_tol)
+        planar = solve_euclidean(cls.chords)
         rbar = planar.radius
         x3 = math.hypot(1.0, rbar)  # cosh(arsinh(rbar))
         vertices = np.column_stack((planar.vertices, np.full(n, x3)))
@@ -304,21 +297,12 @@ def solve_hyperbolic(
 
     rot = cls.chords[dominant_last(cls.index, n)]
     if cls.kind == HOROCYCLE:
-        return _build_horocycle(cls, rot)
+        offsets, _, vertices = place(rot, cls.index)
+        return HyperbolicSolution(cls, vertices, offsets=offsets)
 
     rot = SideLengths(rot)  # checked once, for the root and the marks
-    res = _solve_phi_root(rot, 1.0, rel_tol)
+    res = _solve_phi_root(rot, 1.0)
     rbar = res.root
-    if rbar > _RBAR_OVERFLOW:
-        warnings.warn(
-            f"solved hypercycle radius cosh(R) = {rbar:.3e} exceeds {_RBAR_OVERFLOW:g}; "
-            "returning the horocycle construction instead",
-            HorocycleDriftWarning,
-            stacklevel=2,
-        )
-        fallback = replace(cls, kind=HOROCYCLE)
-        return _build_horocycle(fallback, rot.values, iterations=res.iterations)
-
     _, feet, points = place(2.0 * _half_feet(rbar, rot), cls.index, rbar)
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
     return HyperbolicSolution(

@@ -82,7 +82,7 @@ def check_minkowski_feasibility(lengths) -> MinkowskiFeasibility:
     return MinkowskiFeasibility(feasible=margin > 0.0, dominant=dom, margin=margin)
 
 
-def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
+def solve_minkowski(lengths) -> MinkowskiSolution:
     """Construct the unique spacetime cyclic polygon with the given sides."""
     lengths = SideLengths.coerce(lengths)
     feas = check_minkowski_feasibility(lengths)
@@ -100,7 +100,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
     # lower end until it is negative, then grow the upper end.  The halving
     # stops within ~1100 steps, at 0 or where l_dom / 2x passes the float range.
     lo = 0.5 * float(l[dom])
-    while not phi(lo, rot) < 0.0:
+    while not (f_lo := phi(lo, rot)) < 0.0:
         below, lo = lo, 0.5 * lo
         if lo == 0.0 or math.isinf(float(l[dom]) / (2.0 * lo)):
             raise NearDegenerateError(
@@ -108,7 +108,7 @@ def solve_minkowski(lengths, *, rel_tol: float = 1e-12) -> MinkowskiSolution:
                 "to be represented",
                 index=dom,
             )
-    res = _solve_phi_root(rot, lo, rel_tol)
+    res = _solve_phi_root(rot, lo, f_lo)
     radius = res.root
 
     _, feet, vertices = place(2.0 * _half_feet(radius, rot), dom, radius)

@@ -1,8 +1,8 @@
 """Request parsing, solution reports, and report serialization for the CLI.
 
 A request is a JSON object {"geometry": ..., "lengths": [...], "options":
-{...}} with options "tolerance" (root-finder relative tolerance) and
-"horocycle_band" (hyperbolic classification band).  A report is a JSON
+{...}} with one option, "horocycle_band" (hyperbolic classification band);
+each root solve stops at its equation's fixed precision.  A report is a JSON
 object with "status" "ok" or "error"; ok reports carry the geometry-tagged
 solution payload plus diagnostics (recovery residuals, solver iterations,
 cross-check deltas).  One gate pass serves every curve class: each side is
@@ -61,14 +61,7 @@ class RequestError(DomainError):
 class SolveRequest:
     geometry: str
     lengths: list[float]
-    tolerance: float | None = None
-    horocycle_band: float | None = None
-
-    @property
-    def band(self) -> float:
-        """The horocycle band: the request's own, or the library default."""
-        band = self.horocycle_band
-        return hyperbolic.DEFAULT_HOROCYCLE_BAND if band is None else band
+    horocycle_band: float = hyperbolic.DEFAULT_HOROCYCLE_BAND  # the request's, or the default
 
 
 def _float(v: int | float, what: str) -> float:
@@ -82,7 +75,6 @@ def parse_request(
     data,
     *,
     geometry: str | None = None,
-    tolerance: float | None = None,
     horocycle_band: float | None = None,
 ) -> SolveRequest:
     """Validate a decoded request object; CLI flags override request options."""
@@ -110,30 +102,25 @@ def parse_request(
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise RequestError("\"options\" must be an object")
-    unknown = set(options) - {"tolerance", "horocycle_band"}
+    unknown = set(options) - {"horocycle_band"}
     if unknown:
         raise RequestError(f"unknown option keys: {sorted(unknown)}")
 
-    tol = tolerance if tolerance is not None else options.get("tolerance")
     band = horocycle_band if horocycle_band is not None else options.get("horocycle_band")
-    for name, v in (("tolerance", tol), ("horocycle_band", band)):
-        if v is not None:
-            if (
-                isinstance(v, bool)
-                or not isinstance(v, (int, float))
-                or not math.isfinite(_float(v, f"option {name!r}"))
-            ):
-                raise RequestError(f"option {name!r} must be a finite number")
-            if name == "tolerance" and v <= 0:
-                raise RequestError("option 'tolerance' must be positive")
-            if name == "horocycle_band" and v < 0:
-                raise RequestError("option 'horocycle_band' must be non-negative")
+    if band is not None:
+        if (
+            isinstance(band, bool)
+            or not isinstance(band, (int, float))
+            or not math.isfinite(_float(band, "option 'horocycle_band'"))
+        ):
+            raise RequestError("option 'horocycle_band' must be a finite number")
+        if band < 0:
+            raise RequestError("option 'horocycle_band' must be non-negative")
 
     return SolveRequest(
         geometry=geo,
         lengths=values,
-        tolerance=None if tol is None else float(tol),
-        horocycle_band=None if band is None else float(band),
+        horocycle_band=hyperbolic.DEFAULT_HOROCYCLE_BAND if band is None else float(band),
     )
 
 
@@ -295,16 +282,14 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
 
 def _solve(request: SolveRequest):
     lengths = SideLengths(request.lengths)
-    # the solvers' own default tolerances apply unless the request sets one
-    tol = {} if request.tolerance is None else {"rel_tol": request.tolerance}
     if request.geometry == "euclidean":
-        sol = euclidean.solve_euclidean(lengths, **tol)
+        sol = euclidean.solve_euclidean(lengths)
     elif request.geometry == "spherical":
-        sol = spherical.solve_spherical(lengths, **tol)
+        sol = spherical.solve_spherical(lengths)
     elif request.geometry == "hyperbolic":
-        sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=request.band, **tol)
+        sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=request.horocycle_band)
     else:
-        sol = minkowski.solve_minkowski(lengths, **tol)
+        sol = minkowski.solve_minkowski(lengths)
     return lengths, sol, _report_body(request.geometry, lengths, sol)
 
 
@@ -324,7 +309,7 @@ def cli_classify(request: SolveRequest) -> dict:
     """Classify the inscribing curve of a hyperbolic instance."""
     if request.geometry != "hyperbolic":
         raise RequestError("classify applies to geometry \"hyperbolic\" only")
-    cls = hyperbolic.classify(SideLengths(request.lengths), horocycle_band=request.band)
+    cls = hyperbolic.classify(SideLengths(request.lengths), horocycle_band=request.horocycle_band)
     return {
         "status": "ok",
         "geometry": "hyperbolic",
@@ -332,7 +317,7 @@ def cli_classify(request: SolveRequest) -> dict:
             "kind": cls.kind,
             "dominant": int(cls.index),
             "margin": float(cls.margin),
-            "band": float(request.band),
+            "band": float(request.horocycle_band),
         },
     }
 

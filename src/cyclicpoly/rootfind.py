@@ -42,6 +42,8 @@ def bisect_newton(
     *,
     dfdx: Callable[[float], float] | None = None,
     rel_tol: float = 1e-14,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
 ) -> RootResult:
     """Find the root of f in [lo, hi]; f(lo) and f(hi) must not share a sign.
 
@@ -51,12 +53,12 @@ def bisect_newton(
     search ends once a Newton step is at most rel_tol * |x| (without dfdx:
     once the bracket is that narrow), and up to three Newton steps then
     polish the root while |f| strictly falls, so any tolerance ends at the
-    evaluation noise floor.
+    evaluation noise floor.  Given f_lo or f_hi, f is not evaluated at that end.
     """
-    flo = f(lo)
+    flo = f(lo) if f_lo is None else f_lo
     if flo == 0.0:
         return RootResult(lo, 0, 0.0)
-    fhi = f(hi)
+    fhi = f(hi) if f_hi is None else f_hi
     if fhi == 0.0:
         return RootResult(hi, 0, 0.0)
     neg_lo = flo < 0.0

@@ -100,7 +100,7 @@ def check_spherical_feasibility(lengths) -> SphericalFeasibility:
     return SphericalFeasibility(True, None, None, perimeter, status)
 
 
-def solve_spherical(lengths, *, rel_tol: float = 1e-14) -> SphericalSolution:
+def solve_spherical(lengths) -> SphericalSolution:
     """Construct the unique spherical cyclic polygon with the given sides."""
     lengths = SideLengths.coerce(lengths)
     feas = check_spherical_feasibility(lengths)
@@ -118,7 +118,7 @@ def solve_spherical(lengths, *, rel_tol: float = 1e-14) -> SphericalSolution:
         )
 
     chords = np.array([chord_from_arc(l) for l in lengths.values])
-    planar = solve_euclidean(chords, rel_tol=rel_tol)
+    planar = solve_euclidean(chords)
     rbar = planar.radius
     if rbar >= 1.0:
         # impossible for feasible input; means the solver itself is broken

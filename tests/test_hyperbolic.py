@@ -10,7 +10,6 @@ from cyclicpoly import euclidean, hyperbolic
 from cyclicpoly.domain import prefix_sums
 from cyclicpoly.errors import (
     DomainError,
-    HorocycleDriftWarning,
     InvariantViolation,
     NearDegenerateError,
     NoPolygonError,
@@ -314,16 +313,20 @@ class TestSingleChordMap:
         assert hash(cls) == hash(plain)
 
 
-class TestDriftFallback:
+class TestNearHorocycleHypercycle:
     def test_huge_near_horocycle_input(self):
+        # cosh R lands near 1.6e16, yet a hypercycle instance is still placed
+        # on its hypercycle, without a warning
         base = 1e10
         chords = np.array([base, base, 2 * base + 1e-3])
         lengths = 2 * np.arcsinh(chords / 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=0.0)
-        assert sol.curve_class.kind == hyperbolic.HOROCYCLE
-        assert any(w.category is HorocycleDriftWarning for w in caught)
+        assert sol.curve_class.kind == hyperbolic.HYPERCYCLE
+        assert math.cosh(sol.axis_distance) > 1e12
+        a = sol.foot_distances.values
+        assert abs(a[2] - a[0] - a[1]) <= 1e-12 * a[2]
 
 
 class TestFootDistances:

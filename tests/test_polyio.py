@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclicpoly import cli, polyio
+from cyclicpoly import cli, hyperbolic, polyio
 from cyclicpoly.errors import InfeasibleError, InvariantViolation
 
 from oracles import strict_lengths
@@ -28,16 +28,16 @@ class TestParseRequest:
         req = polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4, 5]})
         assert req.geometry == "euclidean"
         assert req.lengths == [3.0, 4.0, 5.0]
-        assert req.tolerance is None and req.horocycle_band is None
+        assert req.horocycle_band == hyperbolic.DEFAULT_HOROCYCLE_BAND
 
     def test_flag_overrides(self):
         req = polyio.parse_request(
-            {"geometry": "euclidean", "lengths": [3, 4, 5], "options": {"tolerance": 1e-10}},
+            {"geometry": "euclidean", "lengths": [3, 4, 5], "options": {"horocycle_band": 1e-6}},
             geometry="spherical",
-            tolerance=1e-8,
+            horocycle_band=0.5,
         )
         assert req.geometry == "spherical"
-        assert req.tolerance == 1e-8
+        assert req.horocycle_band == 0.5
 
     @pytest.mark.parametrize(
         "bad",
@@ -473,6 +473,9 @@ class TestCliExitCodes:
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1.9]}',
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1]}',
             '{"geometry":"spherical","lengths":[5e-324,1,1,1]}',
+            # a side whose central angle underflows to 0
+            '{"geometry":"euclidean","lengths":[5e-324,1,1,1]}',
+            '{"geometry":"euclidean","lengths":[1e-320,100000,100000,100000]}',
         ],
     )
     def test_out_of_range_exit_2(self, request_text, capsys, monkeypatch):
@@ -572,19 +575,55 @@ class TestCliExitCodes:
         assert reps[0]["status"] == "ok"
         assert reps[1]["status"] == "error"
 
-    def test_tolerance_flag(self, capsys, monkeypatch):
-        # a loose tolerance only ends the Newton phase early; the polish
-        # still reaches the noise floor, and the report is still certified
-        # against the module tolerances
+    def test_tolerance_option_invalid_input(self, capsys, monkeypatch):
+        # each root solve runs at its equation's fixed tolerance: no option sets it
         code, out = run_cli(
-            ["solve", "--tolerance", "1e-6"],
-            '{"geometry":"euclidean","lengths":[1,1,1,2.9]}',
+            ["solve"],
+            '{"geometry":"euclidean","lengths":[3,4,5],"options":{"tolerance":1e-6}}',
             capsys,
             monkeypatch,
         )
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["solution"]["radius"] == pytest.approx(math.sqrt(10.0), rel=1e-9)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err == {"code": "invalid_input", "message": "unknown option keys: ['tolerance']"}
+
+    def test_tolerance_flag(self, capsys, monkeypatch):
+        # there is no --tolerance flag: a script that still passes one gets a
+        # usage error, which exits 1, not the 2 of an infeasible request
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["solve", "--tolerance", "1e-6"],
+                '{"geometry":"euclidean","lengths":[3,4,5]}',
+                capsys,
+                monkeypatch,
+            )
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--bogus"],
+            ["frobnicate"],
+            ["classify", "--horocycle-band", "abc"],
+            ["solve", "--geometry", "flat"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_1(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: cyclicpoly" in captured.err and "error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--horocycle-band" in out and "--tolerance" not in out
 
     def test_horocycle_band_flag(self, capsys, monkeypatch):
         code, out = run_cli(

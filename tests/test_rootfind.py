@@ -1,7 +1,9 @@
 """Safeguarded Newton root finder: closed-form roots, bracket contract,
-evaluation budget, the tolerance contract and a 50-digit oracle."""
+evaluation budget, one evaluation per point, and a 50-digit oracle."""
 
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -63,7 +65,9 @@ class EvalCounter:
 
             res = fn(f_counted, lo, hi, dfdx=dfdx_counted if dfdx else None, **kwargs)
             self.solves.append(tuple(count))
-            assert res.iterations == count[0] - 2  # f-evaluations after the ends
+            # f-evaluations after the ends; an end the caller passed in is not evaluated
+            ends = (kwargs.get("f_lo") is None) + (kwargs.get("f_hi") is None)
+            assert res.iterations == count[0] - ends
             return res
 
         return wrapper
@@ -158,31 +162,47 @@ class TestEvaluationBudget:
         assert max(f_evals) <= 30
 
 
-def _assert_same_solution(a: dict, b: dict, request: dict) -> None:
-    """Scalar fields agree to 1e-12 relative, vectors and vertex matrices to
-    1e-12 of their largest entry."""
-    assert a.keys() == b.keys()
-    for key, x in a.items():
-        if isinstance(x, float):
-            assert abs(b[key] - x) <= 1e-12 * abs(x), (request, key)
-        elif isinstance(x, list):
-            x, y = np.array(x, dtype=float), np.array(b[key], dtype=float)
-            assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x)), (request, key)
-        else:
-            assert b[key] == x, (request, key)
+class TestEachPointOnce:
+    """A solve evaluates its defect (the Euclidean f, or phi) at each point
+    once, bracket search included: the bracket ends a caller has already
+    evaluated are passed to bisect_newton as f_lo and f_hi."""
 
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        points: list = []
+        phi = hyperbolic.phi
 
-def test_loose_tolerance_changes_no_answer():
-    # a looser tolerance only ends the Newton phase earlier; the polish
-    # still reaches the evaluation noise floor, so every draw ends in the
-    # same status with the same solution
-    for request in draw_requests(seed=202, count=1200):
-        default = _solve(request)
-        loose = _solve({**request, "options": {"tolerance": 1e-6}})
-        if isinstance(default, str) or isinstance(loose, str):
-            assert default == loose, request
-            continue
-        _assert_same_solution(default["solution"], loose["solution"], request)
+        def recorded_phi(x, chords):
+            points.append(("phi", float(x)))
+            return phi(x, chords)
+
+        for module in (hyperbolic, minkowski):
+            monkeypatch.setattr(module, "phi", recorded_phi)
+
+        # the Euclidean f(t) reads the half angles at t from a cache, so each
+        # computation of them is one evaluation of f at a new t
+        def lru_cache(maxsize):
+            def decorate(half_angles):
+                def recorded(t):
+                    points.append(("f", t))
+                    return half_angles(t)
+
+                return functools.lru_cache(maxsize)(recorded)
+
+            return decorate
+
+        monkeypatch.setattr(euclidean, "functools", types.SimpleNamespace(lru_cache=lru_cache))
+        return points
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        points = self._record(monkeypatch)
+        solved = 0
+        for request in draw_requests(seed=404, count=400):
+            points.clear()
+            if isinstance(_solve(request), dict):
+                solved += 1
+            assert len(points) == len(set(points)), (request, points)
+        assert solved > 300
 
 
 class TestMpmathOracle:
