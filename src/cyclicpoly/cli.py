@@ -1,14 +1,14 @@
 """Command-line interface.
 
-    cyclicpoly solve    [INPUT] [--geometry G] [--horocycle-band B]
-    cyclicpoly classify [INPUT] [--geometry hyperbolic] [--horocycle-band B]
-    cyclicpoly render   [INPUT] --out FILE [...]
-    cyclicpoly verify   [INPUT] [...]
+    cyclicpoly solve    [INPUT] [--geometry G]
+    cyclicpoly classify [INPUT] [--geometry hyperbolic]
+    cyclicpoly render   [INPUT] [--geometry G] --out FILE
+    cyclicpoly verify   [INPUT] [--geometry G]
 
 INPUT is a path to a JSON request (or '-' / omitted for stdin): an object
-{"geometry": ..., "lengths": [...], "options": {...}}, or an array of such
-objects for batch processing.  Reports go to stdout as JSON; render writes
-the SVG to --out (nothing is written on failure).
+{"geometry": ..., "lengths": [...]}, or an array of such objects for batch
+processing.  Reports go to stdout as JSON; render writes the SVG to --out
+(nothing is written on failure).
 
 Exit codes: 0 success, 1 malformed input or an internal error, 2 geometric
 infeasibility.  Exit 1 covers the error codes "parse", "io" and
@@ -56,11 +56,7 @@ def _error_report(code: str, message: str, side: int | None = None) -> dict:
 def _run_one(args, data) -> tuple[dict, int, str | None]:
     """Process one decoded request; returns (report, exit_code, svg_text)."""
     try:
-        request = polyio.parse_request(
-            data,
-            geometry=args.geometry,
-            horocycle_band=args.horocycle_band,
-        )
+        request = polyio.parse_request(data, geometry=args.geometry)
         if args.command == "solve":
             return polyio.cli_solve(request), EXIT_OK, None
         if args.command == "classify":
@@ -104,8 +100,6 @@ def main(argv=None) -> int:
                        help="JSON request file, or '-' for stdin (default)")
         p.add_argument("--geometry", choices=polyio.GEOMETRIES,
                        help="override the request's geometry")
-        p.add_argument("--horocycle-band", type=float, dest="horocycle_band",
-                       help="hyperbolic horocycle classification band (relative)")
         if name == "render":
             p.add_argument("--out", required=True, help="output SVG path")
     args = parser.parse_args(argv)
@@ -143,17 +137,23 @@ def main(argv=None) -> int:
         if svg_text is not None:
             rendered.append(svg_text)
 
-    if args.command == "render" and all(c == EXIT_OK for c in codes):
+    try:
+        text = polyio.dumps_report(reports if batch else reports[0])
+    except InvariantViolation:  # a non-finite value: find its reports one by one
+        for i, report in enumerate(reports):
+            try:
+                polyio.dumps_report(report)
+            except InvariantViolation as exc:
+                reports[i], codes[i] = _error_report("internal_error", str(exc)), EXIT_INVALID
+        text = polyio.dumps_report(reports if batch else reports[0])
+
+    if args.command == "render" and not any(codes):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("".join(rendered))
 
-    out = reports if batch else reports[0]
-    sys.stdout.write(polyio.dumps_report(out))
-    if any(c == EXIT_INVALID for c in codes):
-        return EXIT_INVALID
-    if any(c == EXIT_INFEASIBLE for c in codes):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    sys.stdout.write(text)
+    # one unreadable request or internal error (1) outranks any infeasible one (2)
+    return EXIT_INVALID if EXIT_INVALID in codes else max(codes, default=EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,20 @@ def prefix_sums(marks) -> tuple[list[float], list[float]]:
 
 def dominance(values) -> tuple[int, float]:
     """Index m of the largest entry (the first, on ties) and the signed
-    margin v[m] - fsum(rest): the sign test every geometry starts from."""
+    margin v[m] - fsum(rest): the sign test every geometry starts from.  The
+    margin is -inf where the rest sum past the float maximum, hence past v[m]."""
     v = np.asarray(values, dtype=float)
     m = int(np.argmax(v))
-    return m, float(v[m]) - math.fsum(np.delete(v, m).tolist())
+    try:
+        return m, float(v[m]) - math.fsum(np.delete(v, m).tolist())
+    except OverflowError:  # fsum's intermediate overflow: positive entries only
+        return m, -math.inf
+
+
+def mean(x: np.ndarray) -> float:
+    """x.mean(), or where its sum overflows, the mean of x / 2**k times 2**k."""
+    m, k = float(x.mean()), x.size.bit_length()
+    return m if math.isfinite(m) else math.ldexp(float(np.ldexp(x, -k).mean()), k)
 
 
 class Vector:

@@ -74,10 +74,10 @@ CIRCLE = "circle"
 HOROCYCLE = "horocycle"
 HYPERCYCLE = "hypercycle"
 
-#: default half-width of the horocycle classification band, relative to the
-#: total chord length (the horocycle locus has measure zero; exact inputs
-#: land within a few ulps of it)
-DEFAULT_HOROCYCLE_BAND = 1e-9
+#: half-width of the horocycle classification band, relative to the total
+#: chord length (the horocycle locus has measure zero; exact inputs land
+#: within a few ulps of it)
+HOROCYCLE_BAND = 1e-9
 
 #: relative tolerance of the phi root solve (rootfind.bisect_newton's rel_tol)
 _PHI_REL_TOL = 1e-12
@@ -124,33 +124,36 @@ class HyperbolicSolution:
 def hyp_chord(ell: float) -> float:
     """Chordal length 2 sinh(l/2) of a hyperbolic segment of length l > 0.
 
-    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324."""
+    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324,
+    or passes the float range, as for l = 1420."""
     ell = float(ell)
     if not math.isfinite(ell) or ell <= 0.0:
         raise DomainError(f"hyperbolic length must be positive and finite, got {ell!r}")
     try:
         chord = 2.0 * math.sinh(0.5 * ell)
     except OverflowError:
-        raise DomainError(f"hyperbolic length {ell!r} overflows the chord map") from None
-    if chord == 0.0:
-        raise NearDegenerateError(f"hyperbolic length {ell!r} is too short for its chord")
+        chord = math.inf
+    if not 0.0 < chord < math.inf:
+        size = "short" if chord == 0.0 else "long"
+        raise NearDegenerateError(f"hyperbolic length {ell!r} is too {size} for its chord")
     return chord
 
 
-def classify(lengths, *, horocycle_band: float = DEFAULT_HOROCYCLE_BAND) -> HypCurveClass:
+def classify(lengths) -> HypCurveClass:
     """Decide which curve the cyclic polygon is inscribed in.
 
     Requires the strict polygon inequalities on the geodesic lengths (raises
-    NoPolygonError otherwise).  ``horocycle_band`` widens the horocycle tag
-    to |margin| <= band * sum(chords); set it to 0 for a strict trichotomy.
+    NoPolygonError otherwise).  The horocycle tag covers
+    |margin| <= HOROCYCLE_BAND * sum(chords).
     """
     lengths = SideLengths.coerce(lengths)
-    if not (horocycle_band >= 0.0):
-        raise DomainError(f"horocycle band must be non-negative, got {horocycle_band!r}")
     _require_strict(lengths)
     chords = np.array([hyp_chord(l) for l in lengths.values])
     dom, margin = dominance(chords)
-    tau = horocycle_band * math.fsum(chords.tolist())
+    try:
+        tau = HOROCYCLE_BAND * math.fsum(chords.tolist())
+    except OverflowError:  # the chords sum past the float maximum
+        tau = math.fsum((HOROCYCLE_BAND * chords).tolist())
     if margin < -tau:
         kind = CIRCLE
     elif margin > tau:
@@ -267,11 +270,7 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     return np.array(t), marks, points
 
 
-def solve_hyperbolic(
-    lengths,
-    *,
-    horocycle_band: float = DEFAULT_HOROCYCLE_BAND,
-) -> HyperbolicSolution:
+def solve_hyperbolic(lengths) -> HyperbolicSolution:
     """Construct the unique hyperbolic cyclic polygon with the given sides.
 
     Classifies the inscribing curve, then dispatches on the class: a
@@ -279,7 +278,7 @@ def solve_hyperbolic(
     NoPolygonError when the polygon inequalities fail.
     """
     lengths = SideLengths.coerce(lengths)
-    cls = classify(lengths, horocycle_band=horocycle_band)
+    cls = classify(lengths)
     n = lengths.n
 
     if cls.kind == CIRCLE:

@@ -1,15 +1,14 @@
 """Request parsing, solution reports, and report serialization for the CLI.
 
-A request is a JSON object {"geometry": ..., "lengths": [...], "options":
-{...}} with one option, "horocycle_band" (hyperbolic classification band);
-each root solve stops at its equation's fixed precision.  A report is a JSON
-object with "status" "ok" or "error"; ok reports carry the geometry-tagged
-solution payload plus diagnostics (recovery residuals, solver iterations,
-cross-check deltas).  One gate pass serves every curve class: each side is
-recovered as the root of its side vector's ambient quadratic form, in
-power-of-two units, pulled back through the chord map, and every residual
-row is checked against its bound before a report is emitted; a violation
-raises rather than emitting a bad report.
+A request is a JSON object {"geometry": ..., "lengths": [...]}: no option
+sets the horocycle band (hyperbolic.HOROCYCLE_BAND) or a root solve's
+precision.  A report is a JSON object with "status" "ok" or "error"; ok
+reports carry the geometry-tagged solution payload plus diagnostics
+(recovery residuals, solver iterations, cross-check deltas).  One gate pass
+serves every curve class: each side is recovered as the root of its side
+vector's ambient quadratic form, in power-of-two units, pulled back through
+the chord map, and every residual row is checked against its bound before a
+report is emitted; a violation raises rather than emitting a bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
 exact), all in one template pass: one walk builds a %-template with a %.17g
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euclidean, hyperbolic, minkowski, spherical, variational
-from .domain import TWO_PI, SideLengths
+from .domain import TWO_PI, SideLengths, mean
 from .errors import DomainError, InfeasibleError, InvariantViolation
 
 __all__ = [
@@ -61,26 +60,14 @@ class RequestError(DomainError):
 class SolveRequest:
     geometry: str
     lengths: list[float]
-    horocycle_band: float = hyperbolic.DEFAULT_HOROCYCLE_BAND  # the request's, or the default
 
 
-def _float(v: int | float, what: str) -> float:
-    try:
-        return float(v)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise RequestError(f"{what} holds an integer too large for a float") from None
-
-
-def parse_request(
-    data,
-    *,
-    geometry: str | None = None,
-    horocycle_band: float | None = None,
-) -> SolveRequest:
-    """Validate a decoded request object; CLI flags override request options."""
+def parse_request(data, *, geometry: str | None = None) -> SolveRequest:
+    """Validate a decoded request object; a geometry given here (the CLI's
+    --geometry) overrides the request's."""
     if not isinstance(data, dict):
         raise RequestError(f"request must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {"geometry", "lengths", "options"}
+    unknown = set(data) - {"geometry", "lengths"}
     if unknown:
         raise RequestError(f"unknown request keys: {sorted(unknown)}")
 
@@ -97,31 +84,11 @@ def parse_request(
     for v in lengths:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise RequestError(f"\"lengths\" must contain only numbers, got {v!r}")
-        values.append(_float(v, "\"lengths\""))
-
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise RequestError("\"options\" must be an object")
-    unknown = set(options) - {"horocycle_band"}
-    if unknown:
-        raise RequestError(f"unknown option keys: {sorted(unknown)}")
-
-    band = horocycle_band if horocycle_band is not None else options.get("horocycle_band")
-    if band is not None:
-        if (
-            isinstance(band, bool)
-            or not isinstance(band, (int, float))
-            or not math.isfinite(_float(band, "option 'horocycle_band'"))
-        ):
-            raise RequestError("option 'horocycle_band' must be a finite number")
-        if band < 0:
-            raise RequestError("option 'horocycle_band' must be non-negative")
-
-    return SolveRequest(
-        geometry=geo,
-        lengths=values,
-        horocycle_band=hyperbolic.DEFAULT_HOROCYCLE_BAND if band is None else float(band),
-    )
+        try:
+            values.append(float(v))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise RequestError("\"lengths\" holds an integer too large for a float") from None
+    return SolveRequest(geometry=geo, lengths=values)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +235,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         if row:
             rows.append(row)
     if ratios is not None:
-        spread = (ratios.max() - ratios.min()) / ratios.mean()
+        spread = (ratios.max() - ratios.min()) / mean(ratios)
         cross = {"radius_relation_rel_spread": float(spread)}
     checks = [("side_recovery_max_rel_error", side, side_bound), *rows]
     _enforce(checks)
@@ -287,7 +254,7 @@ def _solve(request: SolveRequest):
     elif request.geometry == "spherical":
         sol = spherical.solve_spherical(lengths)
     elif request.geometry == "hyperbolic":
-        sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=request.horocycle_band)
+        sol = hyperbolic.solve_hyperbolic(lengths)
     else:
         sol = minkowski.solve_minkowski(lengths)
     return lengths, sol, _report_body(request.geometry, lengths, sol)
@@ -309,7 +276,7 @@ def cli_classify(request: SolveRequest) -> dict:
     """Classify the inscribing curve of a hyperbolic instance."""
     if request.geometry != "hyperbolic":
         raise RequestError("classify applies to geometry \"hyperbolic\" only")
-    cls = hyperbolic.classify(SideLengths(request.lengths), horocycle_band=request.horocycle_band)
+    cls = hyperbolic.classify(SideLengths(request.lengths))
     return {
         "status": "ok",
         "geometry": "hyperbolic",
@@ -317,7 +284,7 @@ def cli_classify(request: SolveRequest) -> dict:
             "kind": cls.kind,
             "dominant": int(cls.index),
             "margin": float(cls.margin),
-            "band": float(request.horocycle_band),
+            "band": hyperbolic.HOROCYCLE_BAND,
         },
     }
 

@@ -91,7 +91,10 @@ def chord_from_arc(ell: float) -> float:
 def check_spherical_feasibility(lengths) -> SphericalFeasibility:
     """Check the perimeter bound, then the polygon inequalities."""
     lengths = SideLengths.coerce(lengths)
-    perimeter = math.fsum(lengths.values.tolist())
+    try:
+        perimeter = math.fsum(lengths.values.tolist())
+    except OverflowError:  # positive sides summing past the float maximum
+        perimeter = math.inf
     if perimeter >= TWO_PI - _PERIMETER_TOL:
         return SphericalFeasibility(False, "perimeter", None, perimeter, None)
     status = check_polygon_inequalities(lengths)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths
+from .domain import TWO_PI, CentralAngles, SideLengths, mean
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .specfun import _clausen2_vec
 
@@ -222,8 +222,8 @@ def check_critical_point(lengths, alpha, *, rel_tol: float = 1e-9):
     if not alpha.is_interior:
         raise DomainError("critical-point check requires an interior angle vector")
     ratios = lengths.values / (2.0 * np.sin(0.5 * alpha.values))
-    mean = float(ratios.mean())
-    spread = float((ratios.max() - ratios.min()) / mean)
+    r = mean(ratios)
+    spread = float((ratios.max() - ratios.min()) / r)
     if spread <= rel_tol:
-        return mean
+        return r
     return CriticalPointMismatch(ratios=ratios, spread=spread)

@@ -11,6 +11,7 @@ from cyclicpoly.domain import (
     FootDistances,
     SideLengths,
     dominance,
+    mean,
     prefix_sums,
 )
 from cyclicpoly.errors import DomainError
@@ -99,6 +100,24 @@ class TestDominance:
 
     def test_first_of_tied_entries(self):
         assert dominance([2.0, 1.0, 2.0]) == (0, -1.0)
+
+    def test_rest_past_the_float_maximum(self):
+        # fsum of the rest overflows, so the rest exceed any float entry
+        assert dominance([1e308, 1e308, 1.5e308]) == (2, -math.inf)
+        assert dominance([1e308, 1e308, 1.7e308]) == (2, -math.inf)
+
+
+class TestMean:
+    def test_plain_mean_where_it_is_finite(self):
+        x = np.random.default_rng(3).uniform(0.5, 2.0, 101)
+        assert mean(x) == float(x.mean())
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_sum_past_the_float_maximum(self, n):
+        x = np.full(n, 1.5e308)
+        with np.errstate(over="ignore"):
+            assert math.isinf(float(x.mean()))
+            assert mean(x) == 1.5e308
 
 
 class TestPrefixSums:

@@ -66,6 +66,11 @@ class TestChordMap:
             with pytest.raises(DomainError):
                 hyperbolic.hyp_chord(bad)
 
+    @pytest.mark.parametrize("ell,word", [(5e-324, "short"), (1420.0, "long"), (1e308, "long")])
+    def test_chord_past_the_float_range(self, ell, word):
+        with pytest.raises(NearDegenerateError, match=f"too {word} for its chord"):
+            hyperbolic.hyp_chord(ell)
+
 
 class TestClassify:
     def test_equilateral_circle(self):
@@ -98,12 +103,23 @@ class TestClassify:
         assert plus.kind == hyperbolic.HYPERCYCLE
         assert minus.kind == hyperbolic.CIRCLE
 
-    def test_band_knob(self):
-        assert hyperbolic.classify([1, 1, 1.9], horocycle_band=0.0).kind == hyperbolic.HYPERCYCLE
-        # an absurdly wide band swallows everything into the horocycle tag
-        assert hyperbolic.classify([1, 1, 1], horocycle_band=0.5).kind == hyperbolic.HOROCYCLE
-        with pytest.raises(DomainError):
-            hyperbolic.classify([1, 1, 1], horocycle_band=-1e-3)
+    @pytest.mark.parametrize(
+        "f,kind",
+        [
+            (-1.1, hyperbolic.CIRCLE),
+            (-0.9, hyperbolic.HOROCYCLE),
+            (0.9, hyperbolic.HOROCYCLE),
+            (1.1, hyperbolic.HYPERCYCLE),
+        ],
+    )
+    def test_band_edges(self, f, kind):
+        # the horocycle tag covers |margin| <= HOROCYCLE_BAND * sum(chords)
+        c = 2 * math.sinh(0.5)
+        total = 4 * c  # the chord sum, to well within the 10% steps below
+        margin = f * hyperbolic.HOROCYCLE_BAND * total
+        cls = hyperbolic.classify([1, 1, 2 * math.asinh(0.5 * (2 * c + margin))])
+        assert cls.kind == kind
+        assert cls.margin == pytest.approx(margin, rel=1e-3)
 
 
 class TestCircleCase:
@@ -315,14 +331,15 @@ class TestSingleChordMap:
 
 class TestNearHorocycleHypercycle:
     def test_huge_near_horocycle_input(self):
-        # cosh R lands near 1.6e16, yet a hypercycle instance is still placed
-        # on its hypercycle, without a warning
+        # a chord excess of 4e-9, just outside the band: cosh R lands near
+        # 5.6e13, yet a hypercycle instance is still placed on its
+        # hypercycle, without a warning
         base = 1e10
-        chords = np.array([base, base, 2 * base + 1e-3])
+        chords = np.array([base, base, 2 * base * (1 + 4e-9)])
         lengths = 2 * np.arcsinh(chords / 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = hyperbolic.solve_hyperbolic(lengths, horocycle_band=0.0)
+            sol = hyperbolic.solve_hyperbolic(lengths)
         assert sol.curve_class.kind == hyperbolic.HYPERCYCLE
         assert math.cosh(sol.axis_distance) > 1e12
         a = sol.foot_distances.values

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclicpoly import cli, hyperbolic, polyio
+from cyclicpoly import cli, polyio
 from cyclicpoly.errors import InfeasibleError, InvariantViolation
 
 from oracles import strict_lengths
@@ -28,16 +28,12 @@ class TestParseRequest:
         req = polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4, 5]})
         assert req.geometry == "euclidean"
         assert req.lengths == [3.0, 4.0, 5.0]
-        assert req.horocycle_band == hyperbolic.DEFAULT_HOROCYCLE_BAND
 
     def test_flag_overrides(self):
         req = polyio.parse_request(
-            {"geometry": "euclidean", "lengths": [3, 4, 5], "options": {"horocycle_band": 1e-6}},
-            geometry="spherical",
-            horocycle_band=0.5,
+            {"geometry": "euclidean", "lengths": [3, 4, 5]}, geometry="spherical"
         )
         assert req.geometry == "spherical"
-        assert req.horocycle_band == 0.5
 
     @pytest.mark.parametrize(
         "bad",
@@ -54,6 +50,9 @@ class TestParseRequest:
             {"geometry": "euclidean", "lengths": [1, 10**400, 3]},
             {"geometry": "euclidean", "lengths": [1, 2, 3], "options": {"tolerance": 10**400}},
             {"geometry": "hyperbolic", "lengths": [1, 2, 3], "options": {"horocycle_band": -(10**400)}},
+            # a request is {geometry, lengths}: no option is left to set
+            {"geometry": "hyperbolic", "lengths": [1, 1, 1.9], "options": {"horocycle_band": 1e-6}},
+            {"geometry": "euclidean", "lengths": [3, 4, 5], "options": {}},
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -117,7 +116,8 @@ class TestResidualGate:
             polyio.cli_solve(request)
 
 
-HOROCYCLE_BANDED = [1, 1, HOROCYCLE_L3 * (1 + 1e-7)]
+# inside the band: margin 2.1e-9 against a half-width of about 4.2e-9
+HOROCYCLE_BANDED = [1, 1, HOROCYCLE_L3 * (1 + 8e-10)]
 SIDE, RESIDENCY, FUNCTIONAL = (
     "side_recovery_max_rel_error",
     "curve_residency_max_abs_error",
@@ -155,11 +155,7 @@ GATE_REQUESTS = {
     "euclidean": {"geometry": "euclidean", "lengths": [3, 4, 5]},
     "spherical": {"geometry": "spherical", "lengths": [1, 1, 1]},
     "hyperbolic-circle": {"geometry": "hyperbolic", "lengths": [1, 1, 1]},
-    "hyperbolic-horocycle": {
-        "geometry": "hyperbolic",
-        "lengths": HOROCYCLE_BANDED,
-        "options": {"horocycle_band": 1e-6},
-    },
+    "hyperbolic-horocycle": {"geometry": "hyperbolic", "lengths": HOROCYCLE_BANDED},
     "hyperbolic-hypercycle": {"geometry": "hyperbolic", "lengths": [1, 1, 1.9]},
     "minkowski": {"geometry": "minkowski", "lengths": [1, 1, 3]},
 }
@@ -576,7 +572,8 @@ class TestCliExitCodes:
         assert reps[1]["status"] == "error"
 
     def test_tolerance_option_invalid_input(self, capsys, monkeypatch):
-        # each root solve runs at its equation's fixed tolerance: no option sets it
+        # each root solve runs at its equation's fixed tolerance and the
+        # horocycle band is a constant: a request carries no options
         code, out = run_cli(
             ["solve"],
             '{"geometry":"euclidean","lengths":[3,4,5],"options":{"tolerance":1e-6}}',
@@ -585,7 +582,7 @@ class TestCliExitCodes:
         )
         assert code == 1
         err = json.loads(out)["error"]
-        assert err == {"code": "invalid_input", "message": "unknown option keys: ['tolerance']"}
+        assert err == {"code": "invalid_input", "message": "unknown request keys: ['options']"}
 
     def test_tolerance_flag(self, capsys, monkeypatch):
         # there is no --tolerance flag: a script that still passes one gets a
@@ -608,6 +605,8 @@ class TestCliExitCodes:
             ["classify", "--horocycle-band", "abc"],
             ["solve", "--geometry", "flat"],
             [],
+            # the band is a constant: no flag sets it
+            ["classify", "--horocycle-band", "0.5"],
         ],
     )
     def test_usage_error_exit_1(self, args, capsys):
@@ -623,17 +622,61 @@ class TestCliExitCodes:
             cli.main(["solve", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--horocycle-band" in out and "--tolerance" not in out
+        assert "--geometry" in out
+        assert "--horocycle-band" not in out and "--tolerance" not in out
 
-    def test_horocycle_band_flag(self, capsys, monkeypatch):
-        code, out = run_cli(
-            ["classify", "--horocycle-band", "0.5"],
-            '{"geometry":"hyperbolic","lengths":[1,1,1]}',
-            capsys,
-            monkeypatch,
-        )
-        assert code == 0
-        assert json.loads(out)["class"]["kind"] == "horocycle"
+    @pytest.mark.parametrize(
+        "geometry,lengths,codes",
+        [
+            # sides whose sum passes the float maximum
+            ("euclidean", [1e308, 1e308, 1.5e308], ("ok", "ok")),
+            ("spherical", [1e308, 1e308, 1e308], ("perimeter", "perimeter")),
+            ("minkowski", [1e308, 1e308, 1.7e308], ("reverse_inequality",) * 2),
+            # sides too long for their chords 2 sinh(l/2)
+            ("hyperbolic", [1e308, 1e308, 1e308], ("near_degenerate",) * 2),
+            ("hyperbolic", [1500, 1500, 1500], ("near_degenerate",) * 2),
+            # chords that sum past the float maximum: vertices past the range
+            # the residency gate can represent
+            ("hyperbolic", [1419, 1419, 1419], ("internal_error",) * 2),
+            # the per-side radii sum past the float maximum in verify's mean
+            ("euclidean", [1.2e308, 0.8e308, 0.8e308], ("ok", "ok")),
+        ],
+    )
+    def test_overflowing_sums_end_in_a_report(self, geometry, lengths, codes, capsys, monkeypatch):
+        request = json.dumps({"geometry": geometry, "lengths": lengths})
+        for command, want in zip(("solve", "verify"), codes):
+            code, out = run_cli([command], request, capsys, monkeypatch)
+            rep = json.loads(out)
+            got = rep["status"] if rep["status"] == "ok" else rep["error"]["code"]
+            assert (got, code) == (want, {"ok": 0, "internal_error": 1}.get(want, 2))
+            if command == "verify" and rep["status"] == "ok":
+                assert rep["checks"]["dual_path_radius_rel_delta"] <= 1e-12
+                assert rep["checks"]["radius_relation_rel_spread"] <= 1e-15
+
+    def test_non_finite_report_ends_its_request(self, capsys, monkeypatch):
+        # a report that cannot be serialized ends its own request in
+        # internal_error; the rest of the batch is reported as usual
+        solve = polyio.cli_solve
+
+        def leaky_solve(request):
+            report = solve(request)
+            if request.lengths == [1.0, 1.0, 1.0]:
+                report["solution"]["radius"] = math.inf
+            return report
+
+        monkeypatch.setattr(polyio, "cli_solve", leaky_solve)
+        batch = '[{"geometry":"euclidean","lengths":[3,4,5]},{"geometry":"euclidean","lengths":[1,1,1]}]'
+        code, out = run_cli(["solve"], batch, capsys, monkeypatch)
+        assert code == 1
+        reps = json.loads(out)
+        assert reps[0]["status"] == "ok"
+        assert reps[1]["error"] == {
+            "code": "internal_error",
+            "message": "non-finite value inf in report",
+        }
+        code, out = run_cli(["solve"], '{"geometry":"euclidean","lengths":[1,1,1]}', capsys, monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "internal_error"
 
 
 class TestRender:
