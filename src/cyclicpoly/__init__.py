@@ -25,7 +25,6 @@ from .errors import (
 )
 from .euclidean import (
     EuclideanSolution,
-    PolygonIneqStatus,
     check_polygon_inequalities,
     polygon_area,
     solve_euclidean,
@@ -85,7 +84,6 @@ __all__ = [
     "solve_euclidean",
     "vertices_on_circle",
     "polygon_area",
-    "PolygonIneqStatus",
     "EuclideanSolution",
     "chord_from_arc",
     "check_spherical_feasibility",

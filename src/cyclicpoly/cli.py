@@ -25,13 +25,7 @@ import json
 import sys
 
 from . import polyio
-from .errors import (
-    ConvergenceError,
-    CyclicPolyError,
-    DomainError,
-    InfeasibleError,
-    InvariantViolation,
-)
+from .errors import CyclicPolyError, DomainError, InfeasibleError, InvariantViolation
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -71,7 +65,7 @@ def _run_one(args, data) -> tuple[dict, int, str | None]:
         return _error_report(exc.code, str(exc), exc.index), EXIT_INFEASIBLE, None
     except DomainError as exc:
         return _error_report("invalid_input", str(exc)), EXIT_INVALID, None
-    except (ConvergenceError, InvariantViolation) as exc:
+    except CyclicPolyError as exc:  # ConvergenceError, InvariantViolation
         return _error_report("internal_error", str(exc)), EXIT_INVALID, None
 
 
@@ -128,10 +122,7 @@ def main(argv=None) -> int:
     codes: list[int] = []
     rendered: list[str] = []
     for item in requests:
-        try:
-            report, code, svg_text = _run_one(args, item)
-        except CyclicPolyError as exc:  # pragma: no cover - safety net
-            report, code, svg_text = _error_report("internal_error", str(exc)), EXIT_INVALID, None
+        report, code, svg_text = _run_one(args, item)
         reports.append(report)
         codes.append(code)
         if svg_text is not None:

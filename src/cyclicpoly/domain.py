@@ -42,20 +42,31 @@ def prefix_sums(marks) -> tuple[list[float], list[float]]:
 
 def dominance(values) -> tuple[int, float]:
     """Index m of the largest entry (the first, on ties) and the signed
-    margin v[m] - fsum(rest): the sign test every geometry starts from.  The
-    margin is -inf where the rest sum past the float maximum, hence past v[m]."""
+    margin v[m] - fsum(rest): the sign test every geometry starts from.  Where
+    the rest sum past the float maximum, the margin is taken in units of 2**k,
+    with k the exponent of v[m]; it is -inf only where it is itself below
+    -(float max)."""
     v = np.asarray(values, dtype=float)
     m = int(np.argmax(v))
+    rest = np.delete(v, m)
     try:
-        return m, float(v[m]) - math.fsum(np.delete(v, m).tolist())
+        return m, float(v[m]) - math.fsum(rest.tolist())
     except OverflowError:  # fsum's intermediate overflow: positive entries only
-        return m, -math.inf
+        k = math.frexp(float(v[m]))[1]
+        scaled = math.fsum(np.ldexp(np.append(-rest, v[m]), -k).tolist())
+        try:
+            return m, math.ldexp(scaled, k)
+        except OverflowError:  # math.ldexp raises where the margin overflows
+            return m, -math.inf
 
 
 def mean(x: np.ndarray) -> float:
-    """x.mean(), or where its sum overflows, the mean of x / 2**k times 2**k."""
-    m, k = float(x.mean()), x.size.bit_length()
-    return m if math.isfinite(m) else math.ldexp(float(np.ldexp(x, -k).mean()), k)
+    """x.mean() where no sum of x can pass the float maximum, else the mean of
+    x / 2**k times 2**k, with k the bit length of x.size."""
+    k = x.size.bit_length()
+    if x.max() < math.ldexp(1.0, 1024 - k):
+        return float(x.mean())
+    return math.ldexp(float(np.ldexp(x, -k).mean()), k)
 
 
 class Vector:

@@ -70,8 +70,8 @@ class NearDegenerateError(InfeasibleError):
     Raised for inputs that satisfy the polygon inequalities by less than
     roughly machine precision, where no meaningful solution can be computed,
     and for vertices that lie too far out along a hypercycle, horocycle or
-    hyperbola, a Minkowski radius too small, or a side too short for its
-    chord, to be represented.
+    hyperbola, a Minkowski radius too small, a hypercycle too close to its
+    axis, or a side too short for its chord, to be represented.
     """
 
     code = "near_degenerate"

@@ -30,7 +30,6 @@ from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
 
 __all__ = [
-    "PolygonIneqStatus",
     "EuclideanSolution",
     "check_polygon_inequalities",
     "solve_euclidean",
@@ -45,29 +44,6 @@ _MAX_RADIUS_FACTOR = 1e15
 #: bound on the relative rounding error of each computed half angle; a
 #: defect value below this times the sum of the half angles has no sign
 _ANGLE_REL_NOISE = 1e-15
-
-STRICT = "strict"
-EQUALITY = "equality"
-VIOLATED = "violated"
-
-
-@dataclass(frozen=True)
-class PolygonIneqStatus:
-    """Outcome of the polygon inequalities l_k < sum_{i != k} l_i.
-
-    At most one side can offend (positive lengths), so a single index
-    suffices.  ``margin`` is l_k - sum_{i != k} l_i at the longest side:
-    negative for strict feasibility, zero for a flat polygon, positive when
-    impossible.
-    """
-
-    kind: str  # one of STRICT, EQUALITY, VIOLATED
-    index: int | None
-    margin: float
-
-    @property
-    def is_strict(self) -> bool:
-        return self.kind == STRICT
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +63,14 @@ class EuclideanSolution:
     iterations: int = field(default=0, compare=False)
 
 
-def check_polygon_inequalities(lengths) -> PolygonIneqStatus:
-    """Classify the sides as strictly feasible, flat, or impossible."""
+def check_polygon_inequalities(lengths) -> tuple[int, float]:
+    """Index m of the longest side and its margin l_m - sum of the others
+    (domain.dominance), which is negative where a polygon exists.
+
+    Raises NoPolygonError with ``index`` m where the margin is not negative,
+    with ``equality`` set where it is 0 (a flat, doubly traversed segment).
+    """
     m, margin = dominance(SideLengths.coerce(lengths).values)
-    if margin < 0.0:
-        return PolygonIneqStatus(STRICT, None, margin)
-    if margin == 0.0:
-        return PolygonIneqStatus(EQUALITY, m, margin)
-    return PolygonIneqStatus(VIOLATED, m, margin)
-
-
-def _require_strict(lengths: SideLengths) -> tuple[int, float]:
-    """Index m of the longest side and its margin; raises NoPolygonError
-    unless the polygon inequalities hold strictly."""
-    m, margin = dominance(lengths.values)
     if margin == 0.0:
         raise NoPolygonError(
             f"side {m} equals the sum of the others: the polygon "
@@ -126,7 +96,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     than its rounding error, or when a side's central angle underflows to 0.
     """
     lengths = SideLengths.coerce(lengths)
-    m, _ = _require_strict(lengths)
+    m, _ = check_polygon_inequalities(lengths)
     # the problem is homogeneous of degree 1: solve with the longest side
     # scaled into [0.5, 1) by an exact power of two, so that no product
     # below over- or underflows at extreme scales

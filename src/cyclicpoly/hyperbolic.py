@@ -52,7 +52,7 @@ import numpy as np
 
 from .domain import CentralAngles, FootDistances, SideLengths, dominance, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
-from .euclidean import _require_strict, solve_euclidean
+from .euclidean import check_polygon_inequalities, solve_euclidean
 from .rootfind import RootResult, bisect_newton
 
 __all__ = [
@@ -142,12 +142,12 @@ def hyp_chord(ell: float) -> float:
 def classify(lengths) -> HypCurveClass:
     """Decide which curve the cyclic polygon is inscribed in.
 
-    Requires the strict polygon inequalities on the geodesic lengths (raises
-    NoPolygonError otherwise).  The horocycle tag covers
-    |margin| <= HOROCYCLE_BAND * sum(chords).
+    Requires the strict polygon inequalities on the geodesic lengths
+    (check_polygon_inequalities raises NoPolygonError otherwise).  The
+    horocycle tag covers |margin| <= HOROCYCLE_BAND * sum(chords).
     """
     lengths = SideLengths.coerce(lengths)
-    _require_strict(lengths)
+    check_polygon_inequalities(lengths)
     chords = np.array([hyp_chord(l) for l in lengths.values])
     dom, margin = dominance(chords)
     try:
@@ -275,7 +275,9 @@ def solve_hyperbolic(lengths) -> HyperbolicSolution:
 
     Classifies the inscribing curve, then dispatches on the class: a
     hypercycle instance is always placed on its hypercycle.  Raises
-    NoPolygonError when the polygon inequalities fail.
+    NoPolygonError when the polygon inequalities fail, and
+    NearDegenerateError when a hypercycle lies so close to its axis that
+    Phi(1) rounds to 0 or above.
     """
     lengths = SideLengths.coerce(lengths)
     cls = classify(lengths)
@@ -300,7 +302,14 @@ def solve_hyperbolic(lengths) -> HyperbolicSolution:
         return HyperbolicSolution(cls, vertices, offsets=offsets)
 
     rot = SideLengths(rot)  # checked once, for the root and the marks
-    res = _solve_phi_root(rot, 1.0)
+    f_lo = phi(1.0, rot)
+    if not f_lo < 0.0:  # Phi(1) < 0 holds exactly; its rounding lost the sign
+        raise NearDegenerateError(
+            f"the hypercycle lies within rounding of its axis (Phi(1) = {f_lo:g}): "
+            "its distance from the axis cannot be resolved",
+            index=cls.index,
+        )
+    res = _solve_phi_root(rot, 1.0, f_lo)
     rbar = res.root
     _, feet, points = place(2.0 * _half_feet(rbar, rot), cls.index, rbar)
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))

@@ -36,28 +36,11 @@ from .hyperbolic import _half_feet, _solve_phi_root, dominant_last, phi, place
 from .specfun import clh2
 
 __all__ = [
-    "MinkowskiFeasibility",
     "MinkowskiSolution",
     "check_minkowski_feasibility",
     "solve_minkowski",
     "phi_ell",
 ]
-
-
-@dataclass(frozen=True)
-class MinkowskiFeasibility:
-    """Outcome of the reverse polygon inequality l_k > sum_{i != k} l_i.
-
-    ``margin`` is the signed excess at the longest side; feasible iff it is
-    strictly positive (exactly one side can dominate).
-    """
-
-    feasible: bool
-    dominant: int
-    margin: float
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +59,26 @@ class MinkowskiSolution:
     iterations: int = field(default=0, compare=False)
 
 
-def check_minkowski_feasibility(lengths) -> MinkowskiFeasibility:
-    """Check that exactly one side strictly exceeds the sum of the others."""
+def check_minkowski_feasibility(lengths) -> tuple[int, float]:
+    """Index of the dominant (longest) side and its margin over the sum of
+    the others (domain.dominance); raises ReverseInequalityError unless the
+    margin is strictly positive."""
     dom, margin = dominance(SideLengths.coerce(lengths).values)
-    return MinkowskiFeasibility(feasible=margin > 0.0, dominant=dom, margin=margin)
+    if not margin > 0.0:
+        raise ReverseInequalityError(
+            f"side {dom} does not strictly exceed the sum of the others "
+            f"(margin {margin:g}): no hyperbola-inscribed polygon exists",
+            index=dom,
+        )
+    return dom, margin
 
 
 def solve_minkowski(lengths) -> MinkowskiSolution:
-    """Construct the unique spacetime cyclic polygon with the given sides."""
+    """Construct the unique spacetime cyclic polygon with the given sides;
+    raises what check_minkowski_feasibility raises."""
     lengths = SideLengths.coerce(lengths)
-    feas = check_minkowski_feasibility(lengths)
-    if not feas:
-        raise ReverseInequalityError(
-            f"side {feas.dominant} does not strictly exceed the sum of the others "
-            f"(margin {feas.margin:g}): no hyperbola-inscribed polygon exists",
-            index=feas.dominant,
-        )
+    dom, _ = check_minkowski_feasibility(lengths)
     l = lengths.values
-    dom = feas.dominant
     rot = SideLengths(l[dominant_last(dom, lengths.n)])
 
     # bracket in (0, inf): Phi ~ (n-2) log x - const near 0, so shrink the

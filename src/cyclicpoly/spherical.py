@@ -18,18 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import TWO_PI, CentralAngles, SideLengths
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    NearDegenerateError,
-    NoPolygonError,
-    PerimeterError,
-)
-from .euclidean import PolygonIneqStatus, check_polygon_inequalities, solve_euclidean
+from .errors import DomainError, InvariantViolation, NearDegenerateError, PerimeterError
+from .euclidean import check_polygon_inequalities, solve_euclidean
 
 __all__ = [
     "SphericalSolution",
-    "SphericalFeasibility",
     "chord_from_arc",
     "check_spherical_feasibility",
     "solve_spherical",
@@ -37,24 +30,6 @@ __all__ = [
 
 #: reject perimeters within this absolute tolerance of 2*pi
 _PERIMETER_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SphericalFeasibility:
-    """Outcome of the spherical existence conditions.
-
-    ``reason`` is None when feasible, else "perimeter" (sides sum to >= 2*pi)
-    or "polygon_inequality" with the offending 0-based ``index``.
-    """
-
-    feasible: bool
-    reason: str | None
-    index: int | None
-    perimeter: float
-    polygon: PolygonIneqStatus | None
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,38 +63,28 @@ def chord_from_arc(ell: float) -> float:
     return chord
 
 
-def check_spherical_feasibility(lengths) -> SphericalFeasibility:
-    """Check the perimeter bound, then the polygon inequalities."""
+def check_spherical_feasibility(lengths) -> tuple[int, float]:
+    """Raise PerimeterError unless the sides sum to strictly below 2*pi, then
+    return check_polygon_inequalities(lengths): the longest side and its
+    negative margin, or a NoPolygonError."""
     lengths = SideLengths.coerce(lengths)
     try:
         perimeter = math.fsum(lengths.values.tolist())
     except OverflowError:  # positive sides summing past the float maximum
         perimeter = math.inf
     if perimeter >= TWO_PI - _PERIMETER_TOL:
-        return SphericalFeasibility(False, "perimeter", None, perimeter, None)
-    status = check_polygon_inequalities(lengths)
-    if not status.is_strict:
-        return SphericalFeasibility(False, "polygon_inequality", status.index, perimeter, status)
-    return SphericalFeasibility(True, None, None, perimeter, status)
+        raise PerimeterError(
+            f"perimeter {perimeter:g} is not strictly below 2*pi: the "
+            "polygon degenerates to a great circle"
+        )
+    return check_polygon_inequalities(lengths)
 
 
 def solve_spherical(lengths) -> SphericalSolution:
-    """Construct the unique spherical cyclic polygon with the given sides."""
+    """Construct the unique spherical cyclic polygon with the given sides;
+    raises what check_spherical_feasibility raises."""
     lengths = SideLengths.coerce(lengths)
-    feas = check_spherical_feasibility(lengths)
-    if not feas:
-        if feas.reason == "perimeter":
-            raise PerimeterError(
-                f"perimeter {feas.perimeter:g} is not strictly below 2*pi: the "
-                "polygon degenerates to a great circle"
-            )
-        raise NoPolygonError(
-            f"side {feas.index} is at least the sum of the others: no spherical "
-            "polygon exists",
-            index=feas.index,
-            equality=feas.polygon.kind == "equality",
-        )
-
+    check_spherical_feasibility(lengths)
     chords = np.array([chord_from_arc(l) for l in lengths.values])
     planar = solve_euclidean(chords)
     rbar = planar.radius

@@ -1,6 +1,7 @@
 """Validated input vectors: construction rules and invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,9 +103,18 @@ class TestDominance:
         assert dominance([2.0, 1.0, 2.0]) == (0, -1.0)
 
     def test_rest_past_the_float_maximum(self):
-        # fsum of the rest overflows, so the rest exceed any float entry
-        assert dominance([1e308, 1e308, 1.5e308]) == (2, -math.inf)
-        assert dominance([1e308, 1e308, 1.7e308]) == (2, -math.inf)
+        # fsum of the rest overflows: the margin is taken in units of 2**k
+        # and is the correctly rounded exact margin
+        for v in ([1e308, 1e308, 1.5e308], [1e308, 1e308, 1.7e308], [1.7e308, 1.2e308, 1e308]):
+            m, margin = dominance(v)
+            assert m == int(np.argmax(v))
+            exact = Fraction(v[m]) - sum(Fraction(x) for k, x in enumerate(v) if k != m)
+            assert margin == float(exact)
+        assert dominance([1e308, 1e308, 1.5e308]) == (2, -5e307)
+
+    def test_margin_past_the_float_maximum(self):
+        # the true margin -2 * 1.7e308 is itself below -(float max)
+        assert dominance([1.7e308] * 4) == (0, -math.inf)
 
 
 class TestMean:
@@ -117,7 +127,16 @@ class TestMean:
         x = np.full(n, 1.5e308)
         with np.errstate(over="ignore"):
             assert math.isinf(float(x.mean()))
+        with np.errstate(over="raise"):  # the plain mean is not tried
             assert mean(x) == 1.5e308
+
+    @pytest.mark.parametrize("n", [3, 4, 1000])
+    def test_plain_mean_below_the_scaling_threshold(self, n):
+        # n entries below 2**(1024 - k), k the bit length of n, cannot sum
+        # past the float maximum, so the plain mean raises no overflow
+        x = np.full(n, np.nextafter(math.ldexp(1.0, 1024 - n.bit_length()), 0.0))
+        with np.errstate(over="raise"):
+            assert mean(x) == x[0]
 
 
 class TestPrefixSums:

@@ -14,22 +14,18 @@ from oracles import euclidean_radius_bisect, strict_lengths
 
 class TestPolygonInequalities:
     def test_strict(self):
-        status = euclidean.check_polygon_inequalities([1, 1, 1])
-        assert status.kind == "strict" and status.is_strict
-        assert status.index is None
-        assert status.margin < 0
+        m, margin = euclidean.check_polygon_inequalities([1, 1, 1])
+        assert (m, margin) == (0, -1.0)
 
     def test_equality(self):
-        status = euclidean.check_polygon_inequalities([1, 1, 2])
-        assert status.kind == "equality"
-        assert status.index == 2
-        assert status.margin == 0.0
+        with pytest.raises(NoPolygonError, match="equals the sum") as exc:
+            euclidean.check_polygon_inequalities([1, 1, 2])
+        assert exc.value.index == 2 and exc.value.equality
 
     def test_violated(self):
-        status = euclidean.check_polygon_inequalities([1, 1, 3])
-        assert status.kind == "violated"
-        assert status.index == 2
-        assert status.margin == 1.0
+        with pytest.raises(NoPolygonError, match="exceeds the sum of the others by 1:") as exc:
+            euclidean.check_polygon_inequalities([1, 1, 3])
+        assert exc.value.index == 2 and not exc.value.equality
 
     def test_at_most_one_offender(self):
         # pigeonhole: with positive lengths only the longest side can offend
@@ -37,9 +33,12 @@ class TestPolygonInequalities:
         for _ in range(200):
             n = int(rng.integers(3, 10))
             l = rng.uniform(0.1, 5.0, n)
-            status = euclidean.check_polygon_inequalities(l)
-            if not status.is_strict:
-                assert status.index == int(np.argmax(l))
+            try:
+                m, margin = euclidean.check_polygon_inequalities(l)
+            except NoPolygonError as exc:
+                assert exc.index == int(np.argmax(l))
+            else:
+                assert m == int(np.argmax(l)) and margin < 0
 
     def test_input_validation(self):
         with pytest.raises(DomainError):

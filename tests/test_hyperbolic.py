@@ -135,7 +135,11 @@ class TestCircleCase:
         for _ in range(25):
             n = int(rng.integers(3, 9))
             l = rng.uniform(0.1, 0.9, n)
-            if not euclidean.check_polygon_inequalities(l).is_strict:
+            try:
+                euclidean.check_polygon_inequalities(l)
+            except NoPolygonError:
+                with pytest.raises(NoPolygonError):
+                    hyperbolic.classify(l)
                 continue
             if hyperbolic.classify(l).kind != hyperbolic.CIRCLE:
                 continue
@@ -199,6 +203,21 @@ class TestHypercycleCase:
         assert np.allclose(recovered_sides(sol.vertices), [1.9, 1.0, 1.0], atol=1e-10)
         a = sol.foot_distances.values
         assert abs(a[0] - a[1] - a[2]) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            # Phi(1) rounds to 0: a root solve from x = 1 would return R = 0
+            [1.0, 1.0, 1.9999999999999998],
+            # Phi(1) rounds above 0: a root solve from x = 1 has no bracket
+            [2.4212358851346494, 0.25534419410209774, 2.676580079236747],
+        ],
+    )
+    def test_flat_onto_its_axis_is_near_degenerate(self, lengths):
+        assert hyperbolic.classify(lengths).kind == hyperbolic.HYPERCYCLE
+        with pytest.raises(NearDegenerateError, match="within rounding of its axis") as exc:
+            hyperbolic.solve_hyperbolic(lengths)
+        assert exc.value.index == 2
 
 
 class TestPhi:

@@ -24,16 +24,17 @@ def feasible_lengths(rng, n):
 
 class TestFeasibility:
     def test_dominant_side(self):
-        feas = minkowski.check_minkowski_feasibility([1, 1, 3])
-        assert feas.feasible
-        assert feas.dominant == 2
-        assert feas.margin == 1.0
+        assert minkowski.check_minkowski_feasibility([1, 1, 3]) == (2, 1.0)
 
     def test_no_dominant_side(self):
-        assert not minkowski.check_minkowski_feasibility([1, 1, 1])
+        with pytest.raises(ReverseInequalityError, match="margin -1\\)") as exc:
+            minkowski.check_minkowski_feasibility([1, 1, 1])
+        assert exc.value.index == 0
 
     def test_equality_infeasible(self):
-        assert not minkowski.check_minkowski_feasibility([1, 1, 2])
+        with pytest.raises(ReverseInequalityError, match="margin 0\\)") as exc:
+            minkowski.check_minkowski_feasibility([1, 1, 2])
+        assert exc.value.index == 2
 
 
 class TestSolve:

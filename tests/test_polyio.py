@@ -557,6 +557,16 @@ class TestCliExitCodes:
         assert code == 0
         assert json.loads(out)["class"]["kind"] == "circle"
 
+    def test_classify_chords_past_the_float_maximum(self, capsys, monkeypatch):
+        # the chords 2 sinh(1419/2) sum past the float maximum; the margin,
+        # minus one chord, is still finite
+        request = '{"geometry":"hyperbolic","lengths":[1419,1419,1419]}'
+        code, out = run_cli(["classify"], request, capsys, monkeypatch)
+        assert code == 0
+        cls = json.loads(out)["class"]
+        assert cls["kind"] == "circle"
+        assert cls["margin"] == -2.0 * math.sinh(709.5)
+
     def test_verify_subcommand(self, capsys, monkeypatch):
         code, out = run_cli(["verify"], '{"geometry":"minkowski","lengths":[1,1,3]}', capsys, monkeypatch)
         assert code == 0
@@ -645,7 +655,10 @@ class TestCliExitCodes:
     def test_overflowing_sums_end_in_a_report(self, geometry, lengths, codes, capsys, monkeypatch):
         request = json.dumps({"geometry": geometry, "lengths": lengths})
         for command, want in zip(("solve", "verify"), codes):
-            code, out = run_cli([command], request, capsys, monkeypatch)
+            with warnings.catch_warnings():
+                if geometry == "euclidean":  # no overflow warning from a mean
+                    warnings.simplefilter("error", RuntimeWarning)
+                code, out = run_cli([command], request, capsys, monkeypatch)
             rep = json.loads(out)
             got = rep["status"] if rep["status"] == "ok" else rep["error"]["code"]
             assert (got, code) == (want, {"ok": 0, "internal_error": 1}.get(want, 2))

@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclicpoly import euclidean, hyperbolic, specfun, spherical
+from cyclicpoly.errors import NoPolygonError
 
 finite_angles = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 small_positive = st.floats(min_value=1e-3, max_value=5.0)
@@ -90,13 +92,14 @@ def test_hyperbolic_chord_dominates_length(ell):
 @given(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_polygon_inequality_margin_sign_matches_kind(lengths):
-    status = euclidean.check_polygon_inequalities(lengths)
-    if status.kind == "strict":
-        assert status.margin < 0 and status.index is None
-    elif status.kind == "equality":
-        assert status.margin == 0 and status.index == int(np.argmax(lengths))
+    m = int(np.argmax(lengths))
+    margin = lengths[m] - math.fsum(lengths[:m] + lengths[m + 1 :])
+    if margin < 0:
+        assert euclidean.check_polygon_inequalities(lengths) == (m, margin)
     else:
-        assert status.margin > 0 and status.index == int(np.argmax(lengths))
+        with pytest.raises(NoPolygonError) as exc:
+            euclidean.check_polygon_inequalities(lengths)
+        assert exc.value.index == m and exc.value.equality == (margin == 0)
 
 
 @given(st.lists(st.floats(min_value=0.3, max_value=2.0), min_size=3, max_size=8))

@@ -37,26 +37,28 @@ class TestChordFromArc:
 
 class TestFeasibility:
     def test_octant_feasible(self):
-        feas = spherical.check_spherical_feasibility([math.pi / 2] * 3)
-        assert feas.feasible and feas.reason is None
+        m, margin = spherical.check_spherical_feasibility([math.pi / 2] * 3)
+        assert m == 0 and margin == -math.pi / 2
 
     def test_perimeter_bound(self):
-        feas = spherical.check_spherical_feasibility([1, 1, 1, 4])
-        assert not feas.feasible
-        assert feas.reason == "perimeter"
+        with pytest.raises(PerimeterError, match="perimeter 7 is not") as exc:
+            spherical.check_spherical_feasibility([1, 1, 1, 4])
+        assert exc.value.index is None
 
     def test_polygon_inequality(self):
-        feas = spherical.check_spherical_feasibility([0.1, 0.1, 0.5])
-        assert not feas.feasible
-        assert feas.reason == "polygon_inequality"
-        assert feas.index == 2
+        # the Euclidean check's refusal, message included
+        with pytest.raises(NoPolygonError, match="exceeds the sum of the others by 0.3:") as exc:
+            spherical.check_spherical_feasibility([0.1, 0.1, 0.5])
+        assert exc.value.index == 2 and not exc.value.equality
+        with pytest.raises(NoPolygonError, match="equals the sum") as exc:
+            spherical.check_spherical_feasibility([0.5, 0.5, 1.0])
+        assert exc.value.index == 2 and exc.value.equality
 
     def test_great_circle_boundary_rejected(self):
         # perimeter exactly 2*pi degenerates to a great circle
-        feas = spherical.check_spherical_feasibility([math.pi / 2] * 4)
-        assert not feas.feasible and feas.reason == "perimeter"
-        with pytest.raises(PerimeterError):
-            spherical.solve_spherical([math.pi / 2] * 4)
+        for check in (spherical.check_spherical_feasibility, spherical.solve_spherical):
+            with pytest.raises(PerimeterError, match="great circle"):
+                check([math.pi / 2] * 4)
 
 
 class TestSolve:
@@ -124,4 +126,5 @@ class TestSumOfSines:
         for _ in range(200):
             l = feasible_spherical(rng, int(rng.integers(3, 11)))
             chords = np.array([spherical.chord_from_arc(x) for x in l])
-            assert euclidean.check_polygon_inequalities(chords).is_strict
+            m, margin = euclidean.check_polygon_inequalities(chords)
+            assert m == int(np.argmax(chords)) and margin < 0
