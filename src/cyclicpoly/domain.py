@@ -47,17 +47,25 @@ def dominance(values) -> tuple[int, float]:
     with k the exponent of v[m]; it is -inf only where it is itself below
     -(float max)."""
     v = np.asarray(values, dtype=float)
-    m = int(np.argmax(v))
-    rest = np.delete(v, m)
+    m = int(v.argmax())
+    rest = v[:m].tolist() + v[m + 1:].tolist()
     try:
-        return m, float(v[m]) - math.fsum(rest.tolist())
+        return m, float(v[m]) - math.fsum(rest)
     except OverflowError:  # fsum's intermediate overflow: positive entries only
         k = math.frexp(float(v[m]))[1]
-        scaled = math.fsum(np.ldexp(np.append(-rest, v[m]), -k).tolist())
+        scaled = math.fsum(np.ldexp(np.append(np.negative(rest), v[m]), -k).tolist())
         try:
             return m, math.ldexp(scaled, k)
         except OverflowError:  # math.ldexp raises where the margin overflows
             return m, -math.inf
+
+
+def columns(n: int, *cols) -> np.ndarray:
+    """The C-ordered n-row matrix of these columns; a scalar fills its column."""
+    out = np.empty((n, len(cols)))
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
 
 
 def mean(x: np.ndarray) -> float:
@@ -65,7 +73,7 @@ def mean(x: np.ndarray) -> float:
     x / 2**k times 2**k, with k the bit length of x.size."""
     k = x.size.bit_length()
     if x.max() < math.ldexp(1.0, 1024 - k):
-        return float(x.mean())
+        return float(x.sum() / x.size)  # x.mean(), bit for bit
     return math.ldexp(float(np.ldexp(x, -k).mean()), k)
 
 
@@ -82,14 +90,14 @@ class Vector:
     min_size = 1
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float).copy()
+        arr = np.array(values, dtype=float)
         if arr.ndim != 1:
             raise DomainError(f"{self._what} must be a 1-d vector")
         if arr.size < self.min_size:
             raise DomainError(
                 f"too few {self._what}: need at least {self.min_size}, got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError(f"{self._what} must be finite")
         self._check(arr)
         arr.setflags(write=False)
@@ -127,7 +135,7 @@ class SideLengths(Vector):
     min_size = 3
 
     def _check(self, arr):
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             k = int(np.argmax(arr <= 0.0))
             raise DomainError(f"side lengths must be strictly positive (side {k} is {arr[k]})")
 
@@ -145,7 +153,7 @@ class CentralAngles(Vector):
     min_size = 3
 
     def _check(self, arr):
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             k = int(np.argmax(arr < 0.0))
             raise DomainError(f"central angles must be non-negative (entry {k} is {arr[k]})")
         total = math.fsum(arr.tolist())
@@ -157,7 +165,7 @@ class CentralAngles(Vector):
     @property
     def is_interior(self) -> bool:
         """True iff the point lies in the open simplex (every entry > 0)."""
-        return bool(np.all(self.values > 0.0))
+        return bool((self.values > 0.0).all())
 
 
 class FootDistances(Vector):
@@ -173,5 +181,5 @@ class FootDistances(Vector):
     _what = "foot distances"
 
     def _check(self, arr):
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise DomainError("foot distances must be positive")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths, dominance, prefix_sums
+from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
 
@@ -106,7 +106,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     r0 = 0.5 * lm
 
     # branch selection at the smallest admissible radius
-    h0 = math.fsum(np.arcsin(np.minimum(1.0, np.delete(l, m) / lm)).tolist())
+    h0 = math.fsum(np.arcsin(np.minimum(1.0, np.concatenate((l[:m], l[m + 1:])) / lm)).tolist())
     center_inside = h0 >= 0.5 * math.pi
 
     # The unknown is t = sqrt(R - R0).  With h_k = R0 - l_k/2 >= 0 the half
@@ -201,7 +201,7 @@ def vertices_on_circle(radius: float, angles) -> np.ndarray:
     c = np.array([math.cos(h) for h in hi])
     s = np.array([math.sin(h) for h in hi])
     lo = np.array(lo)
-    return np.column_stack((radius * (c - lo * s), radius * (s + lo * c)))
+    return columns(lo.size, radius * (c - lo * s), radius * (s + lo * c))
 
 
 def polygon_area(vertices) -> float:
@@ -212,5 +212,5 @@ def polygon_area(vertices) -> float:
     if v.shape[0] < 3:
         raise DomainError(f"a polygon needs at least 3 vertices, got {v.shape[0]}")
     x, y = v[:, 0], v[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
+    xr, yr = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
     return 0.5 * math.fsum((x * yr - xr * y).tolist())

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CentralAngles, FootDistances, SideLengths, dominance, prefix_sums
+from .domain import CentralAngles, FootDistances, SideLengths, columns, dominance, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 from .rootfind import RootResult, bisect_newton
@@ -255,10 +255,10 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
         if x is None:
             s = np.array(t)
             h = 0.5 * s * s
-            points = np.column_stack((h, s, 1.0 + h))
+            points = columns(s.size, h, s, 1.0 + h)
         else:
             try:  # math.sinh, math.cosh: np.sinh, np.cosh differ in the last bits
-                points = x * np.column_stack((list(map(math.sinh, t)), list(map(math.cosh, t))))
+                points = x * columns(len(t), list(map(math.sinh, t)), list(map(math.cosh, t)))
             except OverflowError:
                 points = np.array([math.inf])
     if not np.isfinite(points).all():
@@ -287,7 +287,7 @@ def solve_hyperbolic(lengths) -> HyperbolicSolution:
         planar = solve_euclidean(cls.chords)
         rbar = planar.radius
         x3 = math.hypot(1.0, rbar)  # cosh(arsinh(rbar))
-        vertices = np.column_stack((planar.vertices, np.full(n, x3)))
+        vertices = columns(n, *planar.vertices.T, x3)
         return HyperbolicSolution(
             curve_class=cls,
             vertices=vertices,
@@ -315,7 +315,7 @@ def solve_hyperbolic(lengths) -> HyperbolicSolution:
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
     return HyperbolicSolution(
         curve_class=cls,
-        vertices=np.column_stack((points[:, 0], np.full(n, sinh_r), points[:, 1])),
+        vertices=columns(n, points[:, 0], sinh_r, points[:, 1]),
         axis_distance=math.acosh(rbar),
         foot_distances=FootDistances(feet),
         iterations=res.iterations,

@@ -11,16 +11,17 @@ the chord map, and every residual row is checked against its bound before a
 report is emitted; a violation raises rather than emitting a bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
-exact), all in one template pass: one walk builds a %-template with a %.17g
-field per float, and one % fills it.  Serialization of a parsed canonical
-report is byte-identical.
+exact) in one template pass: one walk builds a %-template with a %.17g field
+per float, putting a dict's float and str values on their key's line and a
+float vector or matrix in one piece, and one % fills it.  Keys and strings
+are quoted as json.dumps quotes them.  Reports round-trip byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,14 +81,16 @@ def parse_request(data, *, geometry: str | None = None) -> SolveRequest:
     lengths = data.get("lengths")
     if not isinstance(lengths, list) or not lengths:
         raise RequestError("\"lengths\" must be a non-empty array of numbers")
-    values = []
-    for v in lengths:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise RequestError(f"\"lengths\" must contain only numbers, got {v!r}")
-        try:
+    try:
+        if set(map(type, lengths)) <= {float, int}:  # checked in bulk
+            return SolveRequest(geometry=geo, lengths=list(map(float, lengths)))
+        values = []
+        for v in lengths:  # one at a time, to name the first bad entry
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise RequestError(f"\"lengths\" must contain only numbers, got {v!r}")
             values.append(float(v))
-        except OverflowError:  # a JSON integer beyond the float range
-            raise RequestError("\"lengths\" holds an integer too large for a float") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        raise RequestError("\"lengths\" holds an integer too large for a float") from None
     return SolveRequest(geometry=geo, lengths=values)
 
 
@@ -108,7 +111,7 @@ def _unit_exponent(x: np.ndarray) -> int:
     """The e that brings max |x| into [0.5, 1) as x * 2**e.  Scaling by 2**e is
     exact, so a gate in these units matches one in the caller's units bit for
     bit wherever the latter's squares neither under- nor overflow."""
-    return -math.frexp(float(np.max(np.abs(x))))[1]
+    return -math.frexp(float(np.abs(x).max()))[1]
 
 
 def _form(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -118,7 +121,7 @@ def _form(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def _max_rel_err(recovered: np.ndarray, expected: np.ndarray) -> float:
-    return float(np.max(np.abs(recovered - expected) / expected))
+    return float((np.abs(recovered - expected) / expected).max())
 
 
 def _side_recovery(geometry: str, d: np.ndarray, e: int, l: np.ndarray) -> float:
@@ -143,7 +146,7 @@ def _angle_check(angles, chords: np.ndarray) -> tuple:
 def _foot_check(a: np.ndarray, dom: int, chords: np.ndarray) -> tuple:
     """Foot spacings of a hypercycle or hyperbola: the row saying the dominant one
     is the sum of the rest, and the radii chord / 2 sinh(spacing / 2)."""
-    error = float(abs(a[dom] - math.fsum(np.delete(a, dom).tolist())))
+    error = abs(float(a[dom]) - math.fsum(a[:dom].tolist() + a[dom + 1:].tolist()))
     return ("foot_additivity_abs_error", error, 1e-10), chords / (2.0 * np.sinh(0.5 * a))
 
 
@@ -158,14 +161,14 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
     """Gate a solution through one list of (name, value, bound) rows, then return
     its report's payload, diagnostics and convention."""
     l, v, signs = lengths.values, sol.vertices, _SIGNS[geometry]
-    d = np.roll(v, -1, axis=0) - v
+    d = np.concatenate((v[1:], v[:1])) - v
     e = _unit_exponent(d)
     side = _side_recovery(geometry, d, e, l)
     side_bound = 1e-10 if geometry == "spherical" else 1e-9
     curve = geometry
     if geometry == "euclidean":
         r = math.ldexp(sol.radius, e)
-        residency = float(np.max(np.abs(np.sqrt(_form(np.ldexp(v, e), signs)) - r)) / r)
+        residency = float(np.abs(np.sqrt(_form(np.ldexp(v, e), signs)) - r).max()) / r
         row, ratios = _angle_check(sol.angles, l)
         rows = [row, ("curve_residency_max_rel_error", residency, 1e-10)]
         payload = {
@@ -176,7 +179,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         }
     elif geometry == "spherical":
         axis_dots = v[:, 2]
-        norm_error = np.max(np.abs(np.sqrt(_form(v, signs)) - 1.0))
+        norm_error = np.abs(np.sqrt(_form(v, signs)) - 1.0).max()
         residency = float(max(norm_error, axis_dots.max() - axis_dots.min()))
         row, ratios = _angle_check(sol.angles, 2.0 * np.sin(0.5 * l))
         rows = [row, ("curve_residency_max_abs_error", residency, 1e-12)]
@@ -188,7 +191,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         }
     elif geometry == "minkowski":
         r = math.ldexp(sol.radius, e)
-        residency = float(np.max(np.abs(_form(np.ldexp(v, e), signs) + r * r)) / (r * r))
+        residency = float(np.abs(_form(np.ldexp(v, e), signs) + r * r).max()) / (r * r)
         a = sol.foot_params.values
         row, ratios = _foot_check(a, sol.dominant, l)
         rows = [("curve_residency_max_rel_error", residency, 1e-10), row]
@@ -227,7 +230,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
             payload["axis_distance"] = float(sol.axis_distance)
             payload["foot_distances"] = a.tolist()
             row, ratios = _foot_check(a, cls.index, chords)
-        residency = float(np.max(np.abs(_form(v, signs) + 1.0)))
+        residency = float(np.abs(_form(v, signs) + 1.0).max())
         rows = [
             ("curve_residency_max_abs_error", residency, 1e-10),
             ("curve_functional_max_spread", float(functional.max() - functional.min()), 1e-10),
@@ -335,48 +338,51 @@ def cli_render(report: dict) -> str:
 
 
 def _layout(item: str, count: int, pad: str, step: str) -> str:
-    """The text of a list of `count` values that each print as `item`."""
-    return "[\n" + ",\n".join([pad + step + item] * count) + "\n" + pad + "]"
+    """The text of a list of count >= 1 values that each print as `item`."""
+    return f"[\n{pad}{step}{item}" + f",\n{pad}{step}{item}" * (count - 1) + f"\n{pad}]"
 
 
-def _emit(obj, out: list, floats: list, indent: int, level: int) -> None:
-    """Append obj's text to `out` as a template with a %.17g field per float,
-    and its floats to `floats`; a float vector or a matrix of equal-width
-    float rows gets its fields from _layout, in one piece."""
-    pad = " " * (indent * level)
-    step = " " * indent
+def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
+    """Append obj's template text to `out` and its floats to `floats`; `step` is one indent."""
+    inner = pad + step
     if isinstance(obj, dict):
-        for i, (k, v) in enumerate(obj.items()):
+        sep = "{\n"
+        for k, v in obj.items():
             if not isinstance(k, str):
                 raise InvariantViolation(f"non-string report key {k!r}")
-            key = json.dumps(k).replace("%", "%%")
-            out.append(("{\n" if i == 0 else ",\n") + pad + step + key + ": ")
-            _emit(v, out, floats, indent, level + 1)
+            head = f"{sep}{inner}{encode_basestring_ascii(k).replace('%', '%%')}: "
+            sep = ",\n"
+            if type(v) is float:
+                out.append(head + "%.17g")
+                floats.append(v)
+            elif type(v) is str:
+                out.append(head + encode_basestring_ascii(v).replace("%", "%%"))
+            else:
+                out.append(head)
+                _emit(v, out, floats, inner, step)
         out.append("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
         flat, cell = obj, "%.17g"
         kinds = set(map(type, obj)) if type(obj) is list else None
         if kinds == {list} and len(set(map(len, obj))) == 1:
             flat = [x for row in obj for x in row]
-            cell = _layout(cell, len(obj[0]), pad + step, step)
+            cell = _layout(cell, len(obj[0]), inner, step)
             kinds = set(map(type, flat))
         if kinds == {float}:
             out.append(_layout(cell, len(obj), pad, step))
             floats += flat
             return
         for i, v in enumerate(obj):
-            out.append(("[\n" if i == 0 else ",\n") + pad + step)
-            _emit(v, out, floats, indent, level + 1)
+            out.append(("[\n" if i == 0 else ",\n") + inner)
+            _emit(v, out, floats, inner, step)
         out.append("\n" + pad + "]" if obj else "[]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, int):  # bool is an int
+        out.append("true" if obj is True else "false" if obj is False else str(obj))
     elif isinstance(obj, float):
         out.append("%.17g")
         floats.append(obj)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj).replace("%", "%%"))
+        out.append(encode_basestring_ascii(obj).replace("%", "%%"))
     elif obj is None:
         out.append("null")
     else:
@@ -388,7 +394,7 @@ def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
     17-significant-digit floats, newline-terminated."""
     out: list[str] = []
     floats: list = []
-    _emit(report, out, floats, indent, 0)
+    _emit(report, out, floats, "", " " * indent)
     if not all(map(math.isfinite, floats)):
         bad = next(x for x in floats if not math.isfinite(x))
         raise InvariantViolation(f"non-finite value {bad!r} in report")

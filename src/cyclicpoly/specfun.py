@@ -116,12 +116,14 @@ def _clausen2_vec(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = x - TWO_PI * np.round(x / TWO_PI)
     y = (r / TWO_PI) ** 2
-    s = np.zeros_like(r)
-    for c in reversed(_CL2_COEFFS):
-        s = (s + c) * y
+    s = _CL2_COEFFS[-1] * y  # Horner from (0 + c_30) * y
+    for c in reversed(_CL2_COEFFS[:-1]):  # in place: no new array per coefficient
+        s += c
+        s *= y
     with np.errstate(divide="ignore", invalid="ignore"):
         out = r * (1.0 - np.log(np.abs(r)) + s)
-    return np.where(r == 0.0, 0.0, out)
+    out[r == 0.0] = 0.0
+    return out
 
 
 def lobachevsky(x: float) -> float:
@@ -194,7 +196,7 @@ class ProbDist(Vector):
     _what = "weights"
 
     def _check(self, arr):
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise DomainError("weights must be non-negative")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > 1e-12:

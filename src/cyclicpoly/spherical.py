@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths
+from .domain import TWO_PI, CentralAngles, SideLengths, columns
 from .errors import DomainError, InvariantViolation, NearDegenerateError, PerimeterError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 
@@ -94,9 +94,7 @@ def solve_spherical(lengths) -> SphericalSolution:
             f"chordal circumradius {rbar!r} >= 1 for feasible spherical input"
         )
     height = math.sqrt(1.0 - rbar * rbar)
-    vertices = np.column_stack(
-        (planar.vertices, np.full(lengths.n, height))
-    )
+    vertices = columns(lengths.n, *planar.vertices.T, height)
     return SphericalSolution(
         chordal_radius=rbar,
         circumradius=math.asin(rbar),

@@ -164,7 +164,7 @@ def maximize_on_simplex(
 
         # cap the step at half the distance to the simplex boundary
         falling = v < 0.0
-        t = min(1.0, 0.5 * float(np.min(a[falling] / -v[falling])))
+        t = min(1.0, 0.5 * float((a[falling] / -v[falling]).min()))
 
         a_new = _step(a, t, v)
         if newton and spread < 1e-5:
@@ -183,7 +183,7 @@ def maximize_on_simplex(
                 a_new = _step(a, t, v)
             else:
                 break  # no ascent within 60 halvings
-        if np.array_equal(a_new, a):
+        if (a_new == a).all():
             break  # the step is lost to rounding: numerically stationary
         a = a_new
 

@@ -1,5 +1,6 @@
 """CLI, request parsing, JSON reports, SVG rendering."""
 
+import collections
 import io
 import json
 import math
@@ -58,6 +59,29 @@ class TestParseRequest:
     def test_rejects_malformed(self, bad):
         with pytest.raises(polyio.RequestError):
             polyio.parse_request(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, true, 2]", "must contain only numbers, got True"),
+            ('[1, "2", 3]', "must contain only numbers, got '2'"),
+            ("[1, null]", "must contain only numbers, got None"),
+            ("[1, 1" + "0" * 400 + "]", "holds an integer too large for a float"),
+            # the first bad entry is named, whichever check it fails
+            ("[1" + "0" * 400 + ', "x"]', "holds an integer too large for a float"),
+            ('["x", 1' + "0" * 400 + "]", "must contain only numbers, got 'x'"),
+        ],
+    )
+    def test_bad_length_messages(self, text, message):
+        lengths = json.loads(text)
+        with pytest.raises(polyio.RequestError, match=message):
+            polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
+
+    def test_library_float_types(self):
+        lengths = [np.float64(3.5), 4, 5.0]
+        req = polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
+        assert req.lengths == [3.5, 4.0, 5.0]
+        assert all(type(x) is float for x in req.lengths)
 
 
 class TestSolveReports:
@@ -292,18 +316,27 @@ LARGE_CURVES = (
     "hyperbolic-hypercycle",
     "minkowski",
 )
+SMALL_REQUESTS = {
+    f"{curve}-n{n}": _large_request(curve, n) for curve in LARGE_CURVES for n in (3, 12)
+}
 ROUND_TRIP_REQUESTS = {
     "triangle": {"geometry": "euclidean", "lengths": [3, 4, 5]},
     **{curve: _large_request(curve) for curve in LARGE_CURVES},
+    **SMALL_REQUESTS,
 }
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return {
+    out = {
         name: polyio.cli_solve(polyio.parse_request(req))
         for name, req in ROUND_TRIP_REQUESTS.items()
     }
+    out["verify"] = polyio.cli_verify(polyio.parse_request(ROUND_TRIP_REQUESTS["euclidean-n12"]))
+    with pytest.raises(InfeasibleError) as exc:
+        polyio.cli_solve(polyio.parse_request({"geometry": "minkowski", "lengths": [1, 1, 1]}))
+    out["error"] = cli._error_report(exc.value.code, str(exc.value), exc.value.index)
+    return out
 
 
 def _oracle_dumps(obj, indent: int = 2) -> str:
@@ -346,6 +379,10 @@ def _assert_same_text(got: str, want: str) -> None:
     pytest.fail(f"texts differ from line {i + 1}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
 
 
+class _Str(str):
+    """A str subclass: written as the str it holds."""
+
+
 EDGE_SHAPES = {
     "ragged_matrix": {"m": [[1.0, 2.0], [3.0]]},
     "empty_rows": {"m": [[], []]},
@@ -356,6 +393,12 @@ EDGE_SHAPES = {
     "nested_matrix": {"m": [[[1.0, 2.0]], [[3.0, 4.0]]]},
     "one_value": {"v": [0.1], "m": [[0.1]]},
     "percent": {"100%": "%s %% %(x)s %", "%d": [0.5, 1.5]},
+    "np_float64_value": {"x": np.float64(0.1), "y": 0.2, "z": np.float64(-0.0)},
+    "ordered_dict": collections.OrderedDict([("b", 1.5), ("a", {"c": "d"})]),
+    "str_subclass": {_Str("k%"): _Str("v%s"), "w": [_Str("x")]},
+    "non_ascii": {"é☃": "é☃", "\x00": "\x00\x1f\n", "\ud800": ["\ud800", "\U0001f600"]},
+    "scalars": {"none": None, "yes": True, "no": False, "big": 10**30, "neg": -(10**20)},
+    "scalar_list": [None, True, False, 10**30, 0.5, "s"],
     "batch": [
         {"status": "ok", "solution": {"angles": [1.5, 2.0], "vertices": [[1.0, 0.0], [0.0, 1.0]]}},
         {"status": "error", "error": {"code": "parse", "message": "x"}},
@@ -387,7 +430,7 @@ class TestCanonicalJson:
             polyio.dumps_report({"x": math.inf})
 
     @pytest.mark.parametrize("indent", [0, 2, 4])
-    @pytest.mark.parametrize("name", LARGE_CURVES)
+    @pytest.mark.parametrize("name", [*LARGE_CURVES, *SMALL_REQUESTS, "verify", "error"])
     def test_large_report_matches_oracle(self, name, indent, reports):
         rep = reports[name]
         if name.startswith("hyperbolic"):
@@ -406,6 +449,20 @@ class TestCanonicalJson:
         obj = [1.0, value, 2.0] if shape == "vector" else [[1.0, 2.0], [value, 3.0]]
         with pytest.raises(InvariantViolation, match=f"non-finite value {value!r} in report"):
             polyio.dumps_report({"x": obj})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"x": np.int64(3)}, "unserializable report value of type int64"),
+            ({"v": [1.0, np.int64(3)]}, "unserializable report value of type int64"),
+            ({"m": [[1.0, 2.0], [3.0, np.int64(4)]]}, "unserializable report value of type int64"),
+            ({1: 2.0}, "non-string report key 1"),
+            ({"a": {(1, 2): "x"}}, r"non-string report key \(1, 2\)"),
+        ],
+    )
+    def test_unserializable_raises(self, obj, message):
+        with pytest.raises(InvariantViolation, match=message):
+            polyio.dumps_report(obj)
 
     def test_first_non_finite_is_named(self):
         with pytest.raises(InvariantViolation, match="non-finite value -inf in report"):
