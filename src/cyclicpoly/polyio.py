@@ -20,6 +20,7 @@ are quoted as json.dumps quotes them.  Reports round-trip byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -86,7 +87,7 @@ def parse_request(data, *, geometry: str | None = None) -> SolveRequest:
             return SolveRequest(geometry=geo, lengths=list(map(float, lengths)))
         values = []
         for v in lengths:  # one at a time, to name the first bad entry
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is not Real
                 raise RequestError(f"\"lengths\" must contain only numbers, got {v!r}")
             values.append(float(v))
     except OverflowError:  # a JSON integer beyond the float range

@@ -23,13 +23,16 @@ reduced Hessian is diag(h_j) + h_m * ones.  The Sherman-Morrison formula
 solves for the Newton step in O(n); its denominator is the s above.  When the
 other angles are small, s is of the order of their square and is lost to
 rounding, so where the computed s is not positive the step falls back to the
-diagonal step (g_m - g_j) / h_j, which is still an ascent direction.  A
-backtracking line search follows, and every step is capped at half the
-distance to the simplex boundary, so every angle stays positive -- the
-inward derivative at the boundary is +infinity, so the maximizer of a
-feasible instance is interior and the ascent cannot stall there.  This path
-is deliberately independent of the radius root-finder in ``euclidean``;
-agreement of the two is a library self-check.
+diagonal step (g_m - g_j) / h_j, which is still an ascent direction.  On a
+line a + t v (sum v = 0) f_l is concave, so f_l(a + t v) >= f_l(a) + t g_t.v
+with g_t its gradient there: a step with g_t.v >= 1e-4 g.v passes the Armijo
+test unevaluated.  Only where it does not (or g_t.v is not finite) does a
+backtracking line search on f_l decide; the Newton endgame makes no test.
+Every step is capped at half the distance to the simplex boundary, so every
+angle stays positive -- the inward derivative at the boundary is +infinity,
+so the maximizer of a feasible instance is interior and the ascent cannot
+stall there.  This path is deliberately independent of the radius root-finder
+in ``euclidean``; agreement of the two is a library self-check.
 """
 
 from __future__ import annotations
@@ -146,11 +149,11 @@ def maximize_on_simplex(
     logl = np.log(lengths.values)
 
     a = np.full(n, TWO_PI / n)
+    g = _gradient(logl, a)
     fa = None  # f_ell at a, evaluated only when the line search needs it
     converged = None  # (angles, spread) where the spread test first passed
 
     for _ in range(max_iterations):
-        g = _gradient(logl, a)
         spread = float(g.max() - g.min())
         if converged is not None:
             return CentralAngles(a if spread <= converged[1] else converged[0])
@@ -167,14 +170,16 @@ def maximize_on_simplex(
         t = min(1.0, 0.5 * float((a[falling] / -v[falling]).min()))
 
         a_new = _step(a, t, v)
-        if newton and spread < 1e-5:
-            # endgame: objective improvements drop below evaluation noise,
-            # so skip the line search and let Newton contract the iterate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_new = _gradient(logl, a_new)  # may be non-finite off a feasible path
+        # endgame: objective improvements drop below evaluation noise, so let
+        # Newton contract the iterate; elsewhere concavity proves Armijo
+        if (newton and spread < 1e-5) or g_new @ v >= 1e-4 * slope:
             fa = None
         else:
             if fa is None:
                 fa = _objective(logl, a)
-            for _ in range(60):
+            for halvings in range(60):
                 f_new = _objective(logl, a_new)
                 if f_new >= fa + 1e-4 * t * slope:
                     fa = f_new
@@ -183,13 +188,14 @@ def maximize_on_simplex(
                 a_new = _step(a, t, v)
             else:
                 break  # no ascent within 60 halvings
+            if halvings:
+                g_new = _gradient(logl, a_new)
         if (a_new == a).all():
             break  # the step is lost to rounding: numerically stationary
-        a = a_new
+        a, g = a_new, g_new
 
     if converged is not None:
         return CentralAngles(converged[0])
-    g = _gradient(logl, a)
     spread = float(g.max() - g.min())
     if spread <= grad_spread_tol:
         return CentralAngles(a)

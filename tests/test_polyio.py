@@ -78,10 +78,18 @@ class TestParseRequest:
             polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
 
     def test_library_float_types(self):
-        lengths = [np.float64(3.5), 4, 5.0]
-        req = polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
-        assert req.lengths == [3.5, 4.0, 5.0]
-        assert all(type(x) is float for x in req.lengths)
+        for lengths, expected in [
+            ([np.float64(3.5), 4, 5.0], [3.5, 4.0, 5.0]),
+            ([np.float32(0.5), 1, 1], [0.5, 1.0, 1.0]),
+            (list(np.arange(3, 6)), [3.0, 4.0, 5.0]),
+            ([np.int64(3), np.float32(4), np.float64(5)], [3.0, 4.0, 5.0]),
+        ]:
+            req = polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
+            assert req.lengths == expected
+            assert all(type(x) is float for x in req.lengths)
+        # a numpy bool is refused like a Python bool
+        with pytest.raises(polyio.RequestError, match="must contain only numbers, got"):
+            polyio.parse_request({"geometry": "euclidean", "lengths": [1, np.bool_(True), 1]})
 
 
 class TestSolveReports:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyclicpoly import euclidean, polyio, specfun, variational
 from cyclicpoly.domain import TWO_PI, CentralAngles, SideLengths
@@ -265,6 +267,51 @@ class TestNewtonStep:
         for lengths in ([1, 1, 1], [3, 4, 5], HARD_QUAD, [1.0, 1.2, 0.8, 2.9]):
             alpha = variational.maximize_on_simplex(lengths)
             assert isinstance(variational.check_critical_point(lengths, alpha), float)
+
+
+def _count_clausen_calls(monkeypatch, lengths) -> int:
+    calls = []
+    clausen = variational._clausen2_vec
+
+    def counted(a):
+        calls.append(None)
+        return clausen(a)
+
+    monkeypatch.setattr(variational, "_clausen2_vec", counted)
+    variational.maximize_on_simplex(lengths)
+    return len(calls)
+
+
+class TestConcavityCertificate:
+    """A step whose new gradient g_t has g_t . v >= 1e-4 g . v passes the
+    Armijo test by concavity, so the objective is evaluated only on steps
+    that fail the certificate."""
+
+    def test_center_outside_triangle_needs_few_evaluations(self, monkeypatch):
+        assert _count_clausen_calls(monkeypatch, [1, 1, 1.9]) <= 4
+
+    def test_large_n_needs_few_evaluations(self, monkeypatch):
+        lengths = np.exp(np.random.default_rng(0).uniform(-2, 2, 600))
+        assert _count_clausen_calls(monkeypatch, lengths) <= 2
+
+    @given(st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=3, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_objective_never_falls_along_the_iterates(self, lengths):
+        longest = max(lengths)
+        assume(longest < (1 - 1e-9) * (math.fsum(lengths) - longest))
+        iterates = []
+        direction = variational._ascent_direction
+
+        def recorded(g, a):
+            iterates.append(a)
+            return direction(g, a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "_ascent_direction", recorded)
+            variational.maximize_on_simplex(lengths)
+        f = [variational.f_ell(lengths, a) for a in iterates]
+        for before, after in zip(f, f[1:]):
+            assert after >= before - 1e-12 * abs(before)
 
 
 @pytest.mark.xfail(
