@@ -4,11 +4,12 @@ Vertices live on H^2 = {x in R^{2,1} : <x,x> = -1, x3 > 0} with
 <x,y> = x1 y1 + x2 y2 - x3 y3.  A convex polygon is cyclic when its
 vertices lie on a curve of constant nonzero curvature: a circle, a
 horocycle, or a hypercycle (constant distance R from a geodesic).  Which
-one is decided by the chordal lengths lbar = 2 sinh(l/2): the dominant
-chord is <, =, or > the sum of the others, respectively (the geodesic
-lengths themselves always satisfy the strict polygon inequalities).  The
-chords are the side lengths of the chordal polygon: a chord vector is a
-domain.SideLengths, checked once where a solver first uses it.
+one is decided by the chords lbar = 2 sinh(l/2), which hyp_chord maps from
+the whole side vector once per request: the dominant chord is <, =, or > the
+sum of the others, respectively (the geodesic lengths always satisfy the
+strict polygon inequalities).  The chords are the sides of the chordal
+polygon: a chord vector is a domain.SideLengths, checked once where a solver
+first uses it.
 
 Constructions, one per class:
 
@@ -82,6 +83,9 @@ HOROCYCLE_BAND = 1e-9
 #: relative tolerance of the phi root solve (rootfind.bisect_newton's rel_tol)
 _PHI_REL_TOL = 1e-12
 
+#: the largest sinh(l/2) whose chord 2 sinh(l/2) stays in the float range
+_MAX_HALF_CHORD = 0.5 * np.finfo(float).max
+
 
 @dataclass(frozen=True)
 class HypCurveClass:
@@ -121,22 +125,18 @@ class HyperbolicSolution:
     iterations: int = field(default=0, compare=False)
 
 
-def hyp_chord(ell: float) -> float:
-    """Chordal length 2 sinh(l/2) of a hyperbolic segment of length l > 0.
-
-    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324,
-    or passes the float range, as for l = 1420."""
-    ell = float(ell)
-    if not math.isfinite(ell) or ell <= 0.0:
-        raise DomainError(f"hyperbolic length must be positive and finite, got {ell!r}")
-    try:
-        chord = 2.0 * math.sinh(0.5 * ell)
-    except OverflowError:
-        chord = math.inf
-    if not 0.0 < chord < math.inf:
-        size = "short" if chord == 0.0 else "long"
+def hyp_chord(lengths) -> np.ndarray:
+    """The chords 2 sinh(l/2), by math.sinh, of a hyperbolic side vector.  Raises
+    NearDegenerateError at the first side whose chord rounds to 0, as for
+    l = 5e-324, or passes the float range, as for l = 1420."""
+    values = SideLengths.coerce(lengths).values
+    # math.sinh raises from l/2 = 710.48; 2 sinh(l/2) passes the float range from 709.79
+    s = list(map(math.sinh, np.minimum(0.5 * values, 710.0).tolist()))
+    if not (0.0 < min(s) and max(s) <= _MAX_HALF_CHORD):
+        k = next(k for k, x in enumerate(s) if not 0.0 < x <= _MAX_HALF_CHORD)
+        ell, size = float(values[k]), "short" if s[k] == 0.0 else "long"
         raise NearDegenerateError(f"hyperbolic length {ell!r} is too {size} for its chord")
-    return chord
+    return 2.0 * np.array(s)
 
 
 def classify(lengths) -> HypCurveClass:
@@ -148,7 +148,7 @@ def classify(lengths) -> HypCurveClass:
     """
     lengths = SideLengths.coerce(lengths)
     check_polygon_inequalities(lengths)
-    chords = np.array([hyp_chord(l) for l in lengths.values])
+    chords = hyp_chord(lengths)
     dom, margin = dominance(chords)
     try:
         tau = HOROCYCLE_BAND * math.fsum(chords.tolist())

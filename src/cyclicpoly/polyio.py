@@ -6,9 +6,10 @@ precision.  A report is a JSON object with "status" "ok" or "error"; ok
 reports carry the geometry-tagged solution payload plus diagnostics
 (recovery residuals, solver iterations, cross-check deltas).  One gate pass
 serves every curve class: each side is recovered as the root of its side
-vector's ambient quadratic form, in power-of-two units, pulled back through
-the chord map, and every residual row is checked against its bound before a
-report is emitted; a violation raises rather than emitting a bad report.
+vector's ambient quadratic form, in a power-of-two unit of its own, pulled
+back through the chord map, and every residual row is checked against its
+bound before a report is emitted; a violation raises rather than emitting a
+bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
 exact) in one template pass: one walk builds a %-template with a %.17g field
@@ -108,13 +109,6 @@ _SIGNS = {
 }
 
 
-def _unit_exponent(x: np.ndarray) -> int:
-    """The e that brings max |x| into [0.5, 1) as x * 2**e.  Scaling by 2**e is
-    exact, so a gate in these units matches one in the caller's units bit for
-    bit wherever the latter's squares neither under- nor overflow."""
-    return -math.frexp(float(np.abs(x).max()))[1]
-
-
 def _form(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The quadratic form of each row of x, its squares summed in the order
     np.linalg.norm sums them (a BLAS product need not)."""
@@ -125,11 +119,11 @@ def _max_rel_err(recovered: np.ndarray, expected: np.ndarray) -> float:
     return float((np.abs(recovered - expected) / expected).max())
 
 
-def _side_recovery(geometry: str, d: np.ndarray, e: int, l: np.ndarray) -> float:
+def _side_recovery(geometry: str, d: np.ndarray, e: np.ndarray, l: np.ndarray) -> float:
     """The largest relative error of the sides recovered from the side vectors d:
-    the root of each one's form in units of 2**-e, pulled back through the chord
-    map (in those units where the map is the identity)."""
-    chords = np.sqrt(_form(np.ldexp(d, e), _SIGNS[geometry]))
+    the root of each one's form in units of 2**-e[k], pulled back through the
+    chord map (in those units where the map is the identity)."""
+    chords = np.sqrt(_form(np.ldexp(d, e[:, None]), _SIGNS[geometry]))
     if geometry in ("euclidean", "minkowski"):
         return _max_rel_err(chords, np.ldexp(l, e))
     half = np.ldexp(chords, -e) / 2.0
@@ -163,13 +157,17 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
     its report's payload, diagnostics and convention."""
     l, v, signs = lengths.values, sol.vertices, _SIGNS[geometry]
     d = np.concatenate((v[1:], v[:1])) - v
-    e = _unit_exponent(d)
+    # side k in units of 2**-e[k], which bring its largest entry into [0.5, 1), and
+    # the residency in the smallest of them: scaling by a power of two is exact, so
+    # the gates match the caller's units wherever those neither under- nor overflow
+    e = -np.frexp(np.abs(d).max(axis=1))[1]
+    e_min = int(e.min())
     side = _side_recovery(geometry, d, e, l)
     side_bound = 1e-10 if geometry == "spherical" else 1e-9
     curve = geometry
     if geometry == "euclidean":
-        r = math.ldexp(sol.radius, e)
-        residency = float(np.abs(np.sqrt(_form(np.ldexp(v, e), signs)) - r).max()) / r
+        r = math.ldexp(sol.radius, e_min)
+        residency = float(np.abs(np.sqrt(_form(np.ldexp(v, e_min), signs)) - r).max()) / r
         row, ratios = _angle_check(sol.angles, l)
         rows = [row, ("curve_residency_max_rel_error", residency, 1e-10)]
         payload = {
@@ -182,7 +180,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         axis_dots = v[:, 2]
         norm_error = np.abs(np.sqrt(_form(v, signs)) - 1.0).max()
         residency = float(max(norm_error, axis_dots.max() - axis_dots.min()))
-        row, ratios = _angle_check(sol.angles, 2.0 * np.sin(0.5 * l))
+        row, ratios = _angle_check(sol.angles, sol.chords)
         rows = [row, ("curve_residency_max_abs_error", residency, 1e-12)]
         payload = {
             "chordal_radius": float(sol.chordal_radius),
@@ -191,8 +189,8 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
             "vertices": v.tolist(),
         }
     elif geometry == "minkowski":
-        r = math.ldexp(sol.radius, e)
-        residency = float(np.abs(_form(np.ldexp(v, e), signs) + r * r).max()) / (r * r)
+        r = math.ldexp(sol.radius, e_min)
+        residency = float(np.abs(_form(np.ldexp(v, e_min), signs) + r * r).max()) / (r * r)
         a = sol.foot_params.values
         row, ratios = _foot_check(a, sol.dominant, l)
         rows = [("curve_residency_max_rel_error", residency, 1e-10), row]
@@ -206,7 +204,6 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         cls = sol.curve_class
         kind = cls.kind
         curve = f"hyperbolic:{kind}"
-        chords = 2.0 * np.sinh(0.5 * l)
         payload = {
             "class": {"kind": kind, "dominant": int(cls.index), "margin": float(cls.margin)},
             "vertices": v.tolist(),
@@ -215,22 +212,21 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
             functional = v[:, 2]
             payload["circumradius"] = float(sol.circumradius)
             payload["angles"] = sol.angles.values.tolist()
-            row, ratios = _angle_check(sol.angles, chords)
+            row, ratios = _angle_check(sol.angles, cls.chords)
         elif kind == hyperbolic.HOROCYCLE:
             functional = v[:, 2] - v[:, 0]  # == 1 on the horocycle
             # a banded horocycle answers the nearest exact-horocycle instance: its
             # dominant side may differ from the request by the classification margin
-            chord_dom = 2.0 * math.sinh(0.5 * float(l[cls.index]))
-            side_bound = max(side_bound, 1.5 * abs(cls.margin) / chord_dom)
+            side_bound = max(side_bound, 1.5 * abs(cls.margin) / float(cls.chords[cls.index]))
             payload["offsets"] = sol.offsets.tolist()
             row, ratios = None, None
-            cross = {"chord_margin_rel": float(cls.margin / math.fsum(chords.tolist()))}
+            cross = {"chord_margin_rel": float(cls.margin / math.fsum(cls.chords.tolist()))}
         else:
             functional = v[:, 1]
             a = sol.foot_distances.values
             payload["axis_distance"] = float(sol.axis_distance)
             payload["foot_distances"] = a.tolist()
-            row, ratios = _foot_check(a, cls.index, chords)
+            row, ratios = _foot_check(a, cls.index, cls.chords)
         residency = float(np.abs(_form(v, signs) + 1.0).max())
         rows = [
             ("curve_residency_max_abs_error", residency, 1e-10),

@@ -1,13 +1,13 @@
 """Spherical cyclic polygons on the unit sphere, by chordal reduction.
 
 Joining the vertices of a spherical cyclic polygon with straight segments
-in the ambient 3-space yields a Euclidean cyclic polygon with chord lengths
-lbar = 2 sin(l/2) and the same central angles.  A spherical instance is
-feasible iff the polygon inequalities hold strictly and the perimeter stays
-strictly below 2*pi (at 2*pi the polygon degenerates to a great circle);
-for feasible input the chordal circumradius is guaranteed to be < 1, so the
-planar solution lifts back to the sphere at height sqrt(1 - Rbar^2) along
-the circle axis.
+in the ambient 3-space yields a Euclidean cyclic polygon with the same
+central angles and the chords lbar = 2 sin(l/2), which chord_from_arc maps
+once per request and the solution keeps.  A spherical instance is feasible
+iff the polygon inequalities hold strictly and the perimeter stays strictly
+below 2*pi (at 2*pi the polygon degenerates to a great circle); for feasible
+input the chordal circumradius is guaranteed to be < 1, so the planar
+solution lifts back to the sphere at height sqrt(1 - Rbar^2) along the axis.
 """
 
 from __future__ import annotations
@@ -47,20 +47,22 @@ class SphericalSolution:
     circumradius: float
     angles: CentralAngles
     vertices: np.ndarray  # (n, 3) unit vectors
+    chords: np.ndarray  # 2 sin(l/2), the sides of the chordal polygon
     iterations: int = field(default=0, compare=False)
 
 
-def chord_from_arc(ell: float) -> float:
-    """Chord length 2 sin(l/2) of a unit-sphere arc of length l in (0, 2*pi).
-
-    Raises NearDegenerateError where the chord rounds to 0, as for l = 5e-324."""
-    ell = float(ell)
-    if not (0.0 < ell < TWO_PI) or not math.isfinite(ell):
-        raise DomainError(f"arc length must lie in (0, 2*pi), got {ell!r}")
-    chord = 2.0 * math.sin(0.5 * ell)
-    if chord == 0.0:
+def chord_from_arc(lengths) -> np.ndarray:
+    """The chords 2 sin(l/2), by math.sin, of a side vector of arcs in (0, 2*pi).
+    Raises NearDegenerateError at the first side whose chord rounds to 0, as
+    for l = 5e-324."""
+    values = SideLengths.coerce(lengths).values
+    if values.max() >= TWO_PI:
+        raise DomainError(f"arc length must lie in (0, 2*pi), got {float(values.max())!r}")
+    s = list(map(math.sin, (0.5 * values).tolist()))
+    if min(s) == 0.0:
+        ell = float(values[s.index(0.0)])
         raise NearDegenerateError(f"arc length {ell!r} is too short for its chord")
-    return chord
+    return 2.0 * np.array(s)
 
 
 def check_spherical_feasibility(lengths) -> tuple[int, float]:
@@ -85,7 +87,7 @@ def solve_spherical(lengths) -> SphericalSolution:
     raises what check_spherical_feasibility raises."""
     lengths = SideLengths.coerce(lengths)
     check_spherical_feasibility(lengths)
-    chords = np.array([chord_from_arc(l) for l in lengths.values])
+    chords = chord_from_arc(lengths)
     planar = solve_euclidean(chords)
     rbar = planar.radius
     if rbar >= 1.0:
@@ -100,5 +102,6 @@ def solve_spherical(lengths) -> SphericalSolution:
         circumradius=math.asin(rbar),
         angles=planar.angles,
         vertices=vertices,
+        chords=chords,
         iterations=planar.iterations,
     )

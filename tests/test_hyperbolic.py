@@ -1,12 +1,13 @@
 """Hyperbolic solver: trichotomy, three constructions, defect-function root."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from cyclicpoly import euclidean, hyperbolic
+from cyclicpoly import euclidean, hyperbolic, polyio
 from cyclicpoly.domain import prefix_sums
 from cyclicpoly.errors import (
     DomainError,
@@ -50,26 +51,58 @@ def make_hypercycle_lengths(rng, n):
                 return l
 
 
+def math_chords(lengths):
+    """2 sinh(l/2) of each side by math.sinh: the chords the solver works with."""
+    return [2.0 * math.sinh(0.5 * x) for x in lengths]
+
+
 class TestChordMap:
+    # the map takes a whole side vector; each chord is math.sinh's, bit for bit
     def test_inverse_pair(self):
-        assert hyperbolic.hyp_chord(2 * math.asinh(1.0)) == pytest.approx(2.0, abs=1e-15)
+        lengths = [2 * math.asinh(1.0)] * 3
+        chords = hyperbolic.hyp_chord(lengths)
+        assert chords.tolist() == math_chords(lengths)
+        assert chords == pytest.approx([2.0] * 3, abs=1e-15)
 
     def test_unit(self):
-        assert hyperbolic.hyp_chord(1.0) == pytest.approx(2 * math.sinh(0.5), abs=1e-15)
+        chords = hyperbolic.hyp_chord([1.0, 0.5, 3.0])
+        assert chords.tolist() == math_chords([1.0, 0.5, 3.0])
+        assert chords[0] == 2 * math.sinh(0.5)
 
     def test_small_argument_limit(self):
-        for ell in (1e-3, 1e-6, 1e-9):
-            assert hyperbolic.hyp_chord(ell) / ell == pytest.approx(1.0, abs=1e-6)
+        lengths = [1e-3, 1e-6, 1e-9]
+        chords = hyperbolic.hyp_chord(lengths)
+        assert chords.tolist() == math_chords(lengths)
+        assert chords / lengths == pytest.approx([1.0] * 3, abs=1e-6)
 
     def test_domain(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                hyperbolic.hyp_chord(bad)
+            with pytest.raises(DomainError, match="side lengths"):
+                hyperbolic.hyp_chord([1.0, bad, 1.0])
+        with pytest.raises(DomainError, match="too few"):
+            hyperbolic.hyp_chord([1.0, 1.0])
 
     @pytest.mark.parametrize("ell,word", [(5e-324, "short"), (1420.0, "long"), (1e308, "long")])
     def test_chord_past_the_float_range(self, ell, word):
-        with pytest.raises(NearDegenerateError, match=f"too {word} for its chord"):
-            hyperbolic.hyp_chord(ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            match = re.escape(f"{ell!r} is too {word} for its chord")
+            with pytest.raises(NearDegenerateError, match=match):
+                hyperbolic.hyp_chord([1.0, ell, 1.0])
+
+    @pytest.mark.parametrize(
+        "lengths, named",
+        [
+            ([1, 5e-324, 1500, 1500], "5e-324 is too short"),
+            ([1500, 5e-324, 1, 1500], "1500.0 is too long"),
+        ],
+    )
+    def test_first_bad_side_in_caller_order(self, lengths, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (hyperbolic.hyp_chord, hyperbolic.classify, hyperbolic.solve_hyperbolic):
+                with pytest.raises(NearDegenerateError, match=f"^hyperbolic length {named} "):
+                    call(lengths)
 
 
 class TestClassify:
@@ -331,17 +364,20 @@ class TestSingleChordMap:
         ],
     )
     def test_each_side_is_mapped_once(self, monkeypatch, lengths, kind):
+        # one map call per request, solver and report together
         calls = []
         chord = hyperbolic.hyp_chord
 
-        def counting_chord(ell):
-            calls.append(ell)
-            return chord(ell)
+        def counting_chord(sides):
+            calls.append(sides)
+            return chord(sides)
 
         monkeypatch.setattr(hyperbolic, "hyp_chord", counting_chord)
+        rep = polyio.cli_solve(polyio.parse_request({"geometry": "hyperbolic", "lengths": lengths}))
+        assert len(calls) == 1
+        assert rep["solution"]["class"]["kind"] == kind
         cls = hyperbolic.solve_hyperbolic(lengths).curve_class
-        assert len(calls) == len(lengths)
-        assert cls.kind == kind
+        assert cls.chords.tolist() == math_chords(lengths)
         # the kept chords take no part in equality or hashing
         plain = hyperbolic.HypCurveClass(kind, cls.index, cls.margin)
         assert hyperbolic.classify(lengths) == plain

@@ -1,4 +1,4 @@
-"""Property-based invariants of the scalar building blocks."""
+"""Property-based invariants of the scalar building blocks and of the solved radius."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclicpoly import euclidean, hyperbolic, specfun, spherical
-from cyclicpoly.errors import NoPolygonError
+from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical
+from cyclicpoly.errors import InfeasibleError, NoPolygonError
 
 finite_angles = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 small_positive = st.floats(min_value=1e-3, max_value=5.0)
@@ -76,17 +76,20 @@ def test_tanh_subadditive(x, y):
     assert math.tanh(x + y) < math.tanh(x) + math.tanh(y)
 
 
-@given(st.floats(min_value=1e-6, max_value=2 * math.pi - 1e-6))
+@given(st.lists(st.floats(min_value=1e-6, max_value=2 * math.pi - 1e-6), min_size=3, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_spherical_chord_range(ell):
-    chord = spherical.chord_from_arc(ell)
-    assert 0.0 < chord <= 2.0
+def test_spherical_chord_range(lengths):
+    chords = spherical.chord_from_arc(lengths)
+    assert chords.tolist() == [2.0 * math.sin(0.5 * x) for x in lengths]  # bit for bit
+    assert ((0.0 < chords) & (chords <= 2.0)).all()
 
 
-@given(st.floats(min_value=1e-6, max_value=50.0))
+@given(st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=3, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_hyperbolic_chord_dominates_length(ell):
-    assert hyperbolic.hyp_chord(ell) >= ell
+def test_hyperbolic_chord_dominates_length(lengths):
+    chords = hyperbolic.hyp_chord(lengths)
+    assert chords.tolist() == [2.0 * math.sinh(0.5 * x) for x in lengths]  # bit for bit
+    assert (chords >= lengths).all()
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=8))
@@ -111,3 +114,53 @@ def test_euclidean_round_trip_property(lengths):
     sol = euclidean.solve_euclidean(l)
     d = np.roll(sol.vertices, -1, axis=0) - sol.vertices
     assert np.max(np.abs(np.linalg.norm(d, axis=1) - l) / l) <= 1e-9
+
+
+GEOMETRIES = ("euclidean", "spherical", "hyperbolic", "minkowski")
+
+
+# the benchmark's small-request envelope: n in [3, 12], sides log-uniform on
+# [0.25, 4]; spherical perimeters uniform on [0.5, 7]; one Minkowski side set to
+# the sum of the others times f, f log-uniform on [0.75, 1.5]
+@st.composite
+def small_requests(draw):
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    n = draw(st.integers(min_value=3, max_value=12))
+    log_side = st.floats(min_value=math.log(0.25), max_value=math.log(4.0))
+    l = np.exp(draw(st.lists(log_side, min_size=n, max_size=n)))
+    if geometry == "spherical":
+        l *= draw(st.floats(min_value=0.5, max_value=7.0)) / math.fsum(l.tolist())
+    elif geometry == "minkowski":
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        f = math.exp(draw(st.floats(min_value=math.log(0.75), max_value=math.log(1.5))))
+        l[k] = f * math.fsum(np.delete(l, k).tolist())
+    return geometry, l
+
+
+def _radius(geometry: str, l: np.ndarray):
+    """The root-find radius (with the hyperbolic curve class), or the type of
+    the structured refusal."""
+    try:
+        if geometry == "euclidean":
+            return euclidean.solve_euclidean(l).radius
+        if geometry == "spherical":
+            return spherical.solve_spherical(l).chordal_radius
+        if geometry == "minkowski":
+            return minkowski.solve_minkowski(l).radius
+        sol = hyperbolic.solve_hyperbolic(l)
+        return sol.curve_class.kind, sol.circumradius, sol.axis_distance
+    except InfeasibleError as exc:
+        return type(exc)
+
+
+@given(small_requests(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_radius_is_independent_of_side_order(request, rng):
+    # a cyclic polygon's radius does not depend on the order of its sides, and
+    # reversing them mirrors it; every defect sum is an fsum, so bit for bit
+    geometry, l = request
+    perm = list(range(l.size))
+    rng.shuffle(perm)
+    radius = _radius(geometry, l)
+    assert _radius(geometry, l[perm]) == radius
+    assert _radius(geometry, l[::-1]) == radius

@@ -264,7 +264,7 @@ class TestMpmathOracle:
                     if geometry == "euclidean":
                         got, ref = euclidean.solve_euclidean(l).radius, self._planar_radius(l, mp)
                     elif geometry == "spherical":
-                        chords = [spherical.chord_from_arc(x) for x in l]
+                        chords = spherical.chord_from_arc(l)
                         got = spherical.solve_spherical(l).chordal_radius
                         ref = self._planar_radius(chords, mp)
                     elif geometry == "hyperbolic":

@@ -1,13 +1,14 @@
 """Spherical solver: chord map, feasibility, lifting, round trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cyclicpoly import euclidean, spherical
+from cyclicpoly import euclidean, polyio, spherical
 from cyclicpoly.domain import TWO_PI
-from cyclicpoly.errors import DomainError, NoPolygonError, PerimeterError
+from cyclicpoly.errors import DomainError, NearDegenerateError, NoPolygonError, PerimeterError
 
 def feasible_spherical(rng, n):
     """Random sides with strict polygon inequalities and perimeter < 2*pi."""
@@ -19,20 +20,56 @@ def feasible_spherical(rng, n):
             return l
 
 
+def math_chords(lengths):
+    """2 sin(l/2) of each side by math.sin: the chords the solver works with."""
+    return [2.0 * math.sin(0.5 * x) for x in lengths]
+
+
 class TestChordFromArc:
+    # the map takes a whole side vector; each chord is math.sin's, bit for bit
     def test_half_turn(self):
-        assert spherical.chord_from_arc(math.pi) == pytest.approx(2.0, abs=1e-15)
+        chords = spherical.chord_from_arc([math.pi] * 3)
+        assert chords.tolist() == math_chords([math.pi] * 3)
+        assert chords == pytest.approx([2.0] * 3, abs=1e-15)
 
     def test_quarter_turn(self):
-        assert spherical.chord_from_arc(math.pi / 2) == pytest.approx(math.sqrt(2), abs=1e-15)
+        lengths = [math.pi / 2, 1.0, 0.25]
+        chords = spherical.chord_from_arc(lengths)
+        assert chords.tolist() == math_chords(lengths)
+        assert chords[0] == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_inverse_pair(self):
-        assert spherical.chord_from_arc(2 * math.asin(0.3)) == pytest.approx(0.6, abs=1e-15)
+        lengths = [2 * math.asin(0.3), 2 * math.asin(0.6), 2 * math.asin(0.9)]
+        chords = spherical.chord_from_arc(lengths)
+        assert chords.tolist() == math_chords(lengths)
+        assert chords == pytest.approx([0.6, 1.2, 1.8], abs=1e-15)
 
     def test_domain(self):
         for bad in (0.0, -1.0, TWO_PI, 7.0, math.nan):
             with pytest.raises(DomainError):
-                spherical.chord_from_arc(bad)
+                spherical.chord_from_arc([1.0, bad, 1.0])
+
+    def test_first_chord_that_rounds_to_0(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (spherical.chord_from_arc, spherical.solve_spherical):
+                with pytest.raises(NearDegenerateError, match="^arc length 5e-324 is too short"):
+                    call([1.0, 5e-324, 1.0, 1.0, 1e-300])
+
+    def test_each_side_is_mapped_once(self, monkeypatch):
+        # one map call per request, solver and report together
+        calls = []
+        chord = spherical.chord_from_arc
+
+        def counting_chord(sides):
+            calls.append(sides)
+            return chord(sides)
+
+        monkeypatch.setattr(spherical, "chord_from_arc", counting_chord)
+        lengths = [1.0, 0.5, 1.5, 0.75]
+        rep = polyio.cli_solve(polyio.parse_request({"geometry": "spherical", "lengths": lengths}))
+        assert len(calls) == 1 and rep["status"] == "ok"
+        assert spherical.solve_spherical(lengths).chords.tolist() == math_chords(lengths)
 
 
 class TestFeasibility:
@@ -125,6 +162,6 @@ class TestSumOfSines:
         rng = np.random.default_rng(44)
         for _ in range(200):
             l = feasible_spherical(rng, int(rng.integers(3, 11)))
-            chords = np.array([spherical.chord_from_arc(x) for x in l])
+            chords = spherical.chord_from_arc(l)
             m, margin = euclidean.check_polygon_inequalities(chords)
             assert m == int(np.argmax(chords)) and margin < 0
