@@ -1,5 +1,5 @@
-"""Validated input vectors, the dominance margin and the compensated prefix
-sum shared by every geometry module."""
+"""Validated input vectors, the exact sum, the dominance margin and the
+compensated prefix sums shared by every geometry module."""
 
 from __future__ import annotations
 
@@ -14,30 +14,80 @@ TWO_PI = 2.0 * math.pi
 #: absolute tolerance on sum(angles) == 2*pi
 ANGLE_SUM_TOL = 1e-12
 
+#: the sizes from which fsum and prefix_sums run in numpy: faster than math.fsum
+#: from about 700 entries, and than the two-sum loop from about 80 marks
+FSUM_CUTOFF, PREFIX_CUTOFF = 700, 80
 
-def prefix_sums(marks) -> tuple[list[float], list[float]]:
-    """Compensated running sums of ``marks``, in one O(n) pass.
 
-    Returns lists ``hi``, ``lo`` of length n where hi[j] + lo[j] is the
-    double-double value of marks[0] + ... + marks[j-1] (so hi[0] = lo[0] = 0
-    and the full total is not included).  The pair is renormalized at every
-    step, so hi[j] is the rounded value of hi[j] + lo[j] and |lo[j]| is at
-    most half an ulp of hi[j].  hi[j] is the correctly rounded sum (as
-    math.fsum gives it) unless the exact sum lies within double-double
-    precision of a rounding tie, where it can be one ulp off.  Plain running sums let rounding leak into the
-    short sides of very eccentric polygons.
+def fsum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()) of a 1-d float array, bit for bit, raising what it raises.
+
+    From FSUM_CUTOFF entries, up to three error-free extraction passes (Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31, 2008) split off parts q = (sigma + x) - sigma,
+    sigma = 2**(e + bit_length(n + 2)) with max|x| < 2**e, which numpy sums exactly in
+    any order; math.fsum rounds the part sums and the nonzero remainders once.  A NaN,
+    an infinity or a zero maximum, or a sigma past 2**1023, goes to math.fsum as is.
     """
-    his, los = [], []
-    hi = lo = 0.0
-    for a in marks:
-        his.append(hi)
-        los.append(lo)
-        t = hi + a  # two-sum: exact error of hi + a goes into lo
-        b = t - hi
-        lo += (hi - (t - b)) + (a - b)
-        hi = t + lo  # renormalize the (hi, lo) pair
-        lo -= hi - t
-    return his, los
+    if x.size < FSUM_CUTOFF:
+        return math.fsum(x.tolist())
+    shift = (x.size + 2).bit_length()
+    m = float(np.abs(x).max())
+    if not 0.0 < m < math.ldexp(1.0, 1023 - shift):
+        return math.fsum(x.tolist())
+    parts = []
+    for _ in range(3):
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+        q = (x + sigma) - sigma
+        x = x - q
+        parts.append(float(q.sum()))
+        m = float(np.abs(x).max())
+        if m == 0.0:
+            break
+    return math.fsum(parts + x[x != 0.0].tolist())
+
+
+def excess(v: np.ndarray, m: int) -> float:
+    """v[m] minus the fsum of the other entries of v."""
+    if v.size < FSUM_CUTOFF:
+        rest = v.tolist()
+        return rest.pop(m) - math.fsum(rest)
+    return float(v[m]) - fsum(np.delete(v, m))
+
+
+def prefix_sums(marks) -> tuple[np.ndarray, np.ndarray]:
+    """Compensated running sums of ``marks``, in O(n).
+
+    Returns arrays ``hi``, ``lo`` of length n where hi[j] + lo[j] is the
+    double-double value of marks[0] + ... + marks[j-1] (so hi[0] = lo[0] = 0
+    and the full total is not included).  hi[j] is the correctly rounded sum
+    (as math.fsum gives it) unless the exact sum lies within double-double
+    precision of a rounding tie, where it can be one ulp off, and |lo[j]| is
+    at most half an ulp of hi[j].  Plain running sums let rounding leak into
+    the short sides of very eccentric polygons.
+
+    Below PREFIX_CUTOFF marks a two-sum loop renormalizes the pair at every step.
+    From it, hi = S + E, with S the plain running sums and E the running sums of
+    each step's exact two-sum error, and lo is the rounding error of S + E: the
+    same hi, and a lo that also carries the rounding of E in its last bits.
+    """
+    a = np.asarray(marks, dtype=float)
+    if a.size < PREFIX_CUTOFF:
+        his, los = [], []
+        hi = lo = 0.0
+        for x in a.tolist():
+            his.append(hi)
+            los.append(lo)
+            t = hi + x  # two-sum: exact error of hi + x goes into lo
+            b = t - hi
+            lo += (hi - (t - b)) + (x - b)
+            hi = t + lo  # renormalize the (hi, lo) pair
+            lo -= hi - t
+        return np.array(his), np.array(los)
+    s = np.cumsum(np.concatenate(([0.0], a[:-1])))
+    b = s[1:] - s[:-1]  # two-sum of s[j-1] + a[j-1] = s[j]
+    e = np.cumsum(np.concatenate(([0.0], (s[:-1] - (s[1:] - b)) + (a[:-1] - b))))
+    hi = s + e
+    return hi, e - (hi - s)
 
 
 def dominance(values) -> tuple[int, float]:
@@ -48,12 +98,11 @@ def dominance(values) -> tuple[int, float]:
     -(float max)."""
     v = np.asarray(values, dtype=float)
     m = int(v.argmax())
-    rest = v[:m].tolist() + v[m + 1:].tolist()
     try:
-        return m, float(v[m]) - math.fsum(rest)
+        return m, excess(v, m)
     except OverflowError:  # fsum's intermediate overflow: positive entries only
         k = math.frexp(float(v[m]))[1]
-        scaled = math.fsum(np.ldexp(np.append(np.negative(rest), v[m]), -k).tolist())
+        scaled = fsum(np.ldexp(np.append(-np.delete(v, m), v[m]), -k))
         try:
             return m, math.ldexp(scaled, k)
         except OverflowError:  # math.ldexp raises where the margin overflows
@@ -156,7 +205,7 @@ class CentralAngles(Vector):
         if (arr < 0.0).any():
             k = int(np.argmax(arr < 0.0))
             raise DomainError(f"central angles must be non-negative (entry {k} is {arr[k]})")
-        total = math.fsum(arr.tolist())
+        total = fsum(arr)
         if abs(total - TWO_PI) > ANGLE_SUM_TOL:
             raise DomainError(
                 f"central angles must sum to 2*pi (got {total!r}, off by {total - TWO_PI:.3e})"

@@ -19,13 +19,12 @@ side is strictly shorter than the sum of the others, and it is unique.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, prefix_sums
+from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, fsum, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
 
@@ -87,6 +86,13 @@ def check_polygon_inequalities(lengths) -> tuple[int, float]:
     return m, margin
 
 
+def _half_angles(t: float, r0: float, gap: np.ndarray, half: np.ndarray):
+    """R = R0 + t^2, q = sqrt((t^2 + R0 - l/2)(R + l/2)) and the half angles atan2(l/2, q)."""
+    radius = r0 + t * t
+    q = np.sqrt((t * t + gap) * (radius + half))
+    return radius, q, np.arctan2(half, q)
+
+
 def solve_euclidean(lengths) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
@@ -106,7 +112,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     r0 = 0.5 * lm
 
     # branch selection at the smallest admissible radius
-    h0 = math.fsum(np.arcsin(np.minimum(1.0, np.concatenate((l[:m], l[m + 1:])) / lm)).tolist())
+    h0 = fsum(np.arcsin(np.minimum(1.0, np.concatenate((l[:m], l[m + 1:])) / lm)))
     center_inside = h0 >= 0.5 * math.pi
 
     # The unknown is t = sqrt(R - R0).  With h_k = R0 - l_k/2 >= 0 the half
@@ -121,21 +127,24 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     sign_half = sign * half
     target = math.pi if center_inside else 0.0
 
-    @functools.lru_cache(maxsize=2)  # f' follows f at its t; only the t before last is revisited
+    memo = {}  # the last two t: f' follows f at its t; only the t before last is revisited
+
     def half_angles(t: float):
-        tt = t * t
-        radius = r0 + tt
-        q = np.sqrt((tt + gap) * (radius + half))
-        return radius, q, np.arctan2(half, q)
+        if t not in memo:
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+            memo[t] = _half_angles(t, r0, gap, half)
+        return memo[t]
 
     def f(t: float) -> float:
-        return math.fsum((sign * half_angles(t)[2]).tolist()) - target
+        a = half_angles(t)[2]
+        return fsum(a if center_inside else sign * a) - target
 
     def dfdx(t: float) -> float:
         if t * t == 0.0:
             return math.nan  # q_m = 0 at R = R0: no Newton step from there
         radius, q, _ = half_angles(t)
-        return -2.0 * t / radius * math.fsum((sign_half / q).tolist())
+        return -2.0 * t / radius * fsum(sign_half / q)
 
     # bracket: f(0) >= 0 > f(inf) on the inside branch, f(0) < 0 < f(inf)
     # on the outside branch; grow the upper end until the sign flips by more
@@ -148,7 +157,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
         while True:
             fhi = f(hi)
             if (fhi > 0.0) != (f0 > 0.0) and abs(fhi) > _ANGLE_REL_NOISE * (
-                math.fsum(half_angles(hi)[2].tolist()) + target
+                fsum(half_angles(hi)[2]) + target
             ):
                 break
             hi *= 2.0
@@ -172,7 +181,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
         alpha[m] = TWO_PI - alpha[m]
     # distribute the residual angle defect uniformly instead of dumping it
     # all on the closing side
-    alpha *= TWO_PI / math.fsum(alpha.tolist())
+    alpha *= TWO_PI / fsum(alpha)
     angles = CentralAngles(alpha)
 
     return EuclideanSolution(
@@ -197,10 +206,9 @@ def vertices_on_circle(radius: float, angles) -> np.ndarray:
     angles = CentralAngles.coerce(angles)
     # The polar angles hi + lo are double-double prefix sums, and the trig
     # values of hi are corrected to first order in lo.
-    hi, lo = prefix_sums(angles.values.tolist())
-    c = np.array([math.cos(h) for h in hi])
-    s = np.array([math.sin(h) for h in hi])
-    lo = np.array(lo)
+    hi, lo = prefix_sums(angles.values)
+    hi = hi.tolist()
+    c, s = (np.fromiter(map(f, hi), float, lo.size) for f in (math.cos, math.sin))
     return columns(lo.size, radius * (c - lo * s), radius * (s + lo * c))
 
 

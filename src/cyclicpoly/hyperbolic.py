@@ -39,9 +39,10 @@ last in caller order, marking starts at the vertex that follows it;
 vertices are always reported in caller side order.  One placement step
 (place) serves the horocycle, the hypercycle and minkowski's hyperbola: a
 vertex's parameter (horocycle offset or axis coordinate t) is the running
-sum of the marks before it, accumulated in double-double arithmetic in one
-O(n) pass (domain.prefix_sums), and a coordinate past the float range
-raises NearDegenerateError.
+sum of the marks before it, accumulated in double-double arithmetic in O(n)
+(domain.prefix_sums: a two-sum loop over a short vector, numpy running sums
+over a long one), and a coordinate past the float range raises
+NearDegenerateError.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CentralAngles, FootDistances, SideLengths, columns, dominance, prefix_sums
+from .domain import CentralAngles, FootDistances, SideLengths, columns, dominance, excess
+from .domain import fsum, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 from .rootfind import RootResult, bisect_newton
@@ -83,8 +85,8 @@ HOROCYCLE_BAND = 1e-9
 #: relative tolerance of the phi root solve (rootfind.bisect_newton's rel_tol)
 _PHI_REL_TOL = 1e-12
 
-#: the largest sinh(l/2) whose chord 2 sinh(l/2) stays in the float range
-_MAX_HALF_CHORD = 0.5 * np.finfo(float).max
+#: half the float maximum, the largest x whose 2x is finite (chords, _half_feet)
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,8 @@ def hyp_chord(lengths) -> np.ndarray:
     values = SideLengths.coerce(lengths).values
     # math.sinh raises from l/2 = 710.48; 2 sinh(l/2) passes the float range from 709.79
     s = list(map(math.sinh, np.minimum(0.5 * values, 710.0).tolist()))
-    if not (0.0 < min(s) and max(s) <= _MAX_HALF_CHORD):
-        k = next(k for k, x in enumerate(s) if not 0.0 < x <= _MAX_HALF_CHORD)
+    if not (0.0 < min(s) and max(s) <= _HALF_MAX):
+        k = next(k for k, x in enumerate(s) if not 0.0 < x <= _HALF_MAX)
         ell, size = float(values[k]), "short" if s[k] == 0.0 else "long"
         raise NearDegenerateError(f"hyperbolic length {ell!r} is too {size} for its chord")
     return 2.0 * np.array(s)
@@ -151,9 +153,9 @@ def classify(lengths) -> HypCurveClass:
     chords = hyp_chord(lengths)
     dom, margin = dominance(chords)
     try:
-        tau = HOROCYCLE_BAND * math.fsum(chords.tolist())
+        tau = HOROCYCLE_BAND * fsum(chords)
     except OverflowError:  # the chords sum past the float maximum
-        tau = math.fsum((HOROCYCLE_BAND * chords).tolist())
+        tau = fsum(HOROCYCLE_BAND * chords)
     if margin < -tau:
         kind = CIRCLE
     elif margin > tau:
@@ -164,17 +166,17 @@ def classify(lengths) -> HypCurveClass:
 
 
 def _half_feet(x: float, chords) -> np.ndarray:
-    # arsinh(c_k / 2x): half the foot marks at the curve parameter x
+    # arsinh(c_k / 2x), half the foot marks at x; (c_k / 2) / x where 2x overflows
     x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
+    if not 0.0 < x < math.inf:
         raise DomainError(f"x must be positive and finite, got {x!r}")
-    return np.arcsinh(SideLengths.coerce(chords).values / (2.0 * x))
+    c = SideLengths.coerce(chords).values
+    return np.arcsinh(c / (2.0 * x) if x <= _HALF_MAX else 0.5 * c / x)
 
 
 def phi(x: float, chords) -> float:
     """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last."""
-    a = _half_feet(x, chords).tolist()
-    return a[-1] - math.fsum(a[:-1])
+    return excess(_half_feet(x, chords), -1)
 
 
 def phi_prime(x: float, chords) -> float:
@@ -183,8 +185,8 @@ def phi_prime(x: float, chords) -> float:
     Positive at any zero of phi (tanh is strictly subadditive), which is
     what makes the zero unique.
     """
-    t = np.tanh(_half_feet(x, chords)).tolist()
-    return (math.fsum(t[:-1]) - t[-1]) / float(x)
+    # 0.0 - e, not -e: +0.0 where the two sides agree, as their difference is
+    return (0.0 - excess(np.tanh(_half_feet(x, chords)), -1)) / float(x)
 
 
 def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float | None = None) -> RootResult:
@@ -196,9 +198,7 @@ def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float | None = None) -
             break
         hi *= 2.0
     else:
-        raise InvariantViolation(
-            "could not bracket the phi root; chords do not dominate"
-        )
+        raise InvariantViolation("could not bracket the phi root; chords do not dominate")
     return bisect_newton(
         lambda x: phi(x, chords),
         lo,
@@ -219,8 +219,7 @@ def solve_hypercycle_radius(chords) -> float:
     Violations are a caller bug and raise InvariantViolation.
     """
     c = SideLengths.coerce(chords)
-    margin = float(c[-1]) - math.fsum(c.values[:-1].tolist())
-    if margin <= 0.0:
+    if excess(c.values, -1) <= 0.0:
         raise InvariantViolation(
             "hypercycle condition fails: last chord does not exceed the sum of the others"
         )
@@ -233,9 +232,9 @@ def solve_hypercycle_radius(chords) -> float:
     return _solve_phi_root(c, 1.0, f_lo).root
 
 
-def dominant_last(dom: int, n: int) -> list[int]:
+def dominant_last(dom: int, n: int) -> np.ndarray:
     """Marking order: caller indices starting after side ``dom``, so it comes last."""
-    return [(dom + 1 + j) % n for j in range(n)]
+    return np.arange(dom + 1, dom + 1 + n) % n
 
 
 def place(marks: np.ndarray, dom: int, x: float | None = None):
@@ -250,15 +249,16 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     points in caller order.  Raises NearDegenerateError when a coordinate
     passes the float range.
     """
-    t = prefix_sums(marks.tolist())[0]
+    t = prefix_sums(marks)[0]
     with np.errstate(over="ignore"):
         if x is None:
-            s = np.array(t)
-            h = 0.5 * s * s
-            points = columns(s.size, h, s, 1.0 + h)
+            h = 0.5 * t * t
+            points = columns(t.size, h, t, 1.0 + h)
         else:
+            n, ts = t.size, t.tolist()
             try:  # math.sinh, math.cosh: np.sinh, np.cosh differ in the last bits
-                points = x * columns(len(t), list(map(math.sinh, t)), list(map(math.cosh, t)))
+                sinh = np.fromiter(map(math.sinh, ts), float, n)
+                points = x * columns(n, sinh, np.fromiter(map(math.cosh, ts), float, n))
             except OverflowError:
                 points = np.array([math.inf])
     if not np.isfinite(points).all():
@@ -267,7 +267,7 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
         )
     k = -(dom + 1) % marks.size  # marking order starts at caller side dom + 1
     marks, points = (np.concatenate((a[k:], a[:k])) for a in (marks, points))
-    return np.array(t), marks, points
+    return t, marks, points
 
 
 def solve_hyperbolic(lengths) -> HyperbolicSolution:

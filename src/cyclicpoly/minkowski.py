@@ -16,7 +16,8 @@ a_k = 2 arsinh(l_k / 2R) then place the vertices (R sinh t, R cosh t); with
 the dominant side last, a_n = sum of the others.  The placement step is the
 hypercycle's (hyperbolic.place): a vertex's rapidity t is the running sum
 of the increments before it, accumulated in double-double arithmetic in
-one O(n) pass (domain.prefix_sums).
+O(n) (domain.prefix_sums: a two-sum loop over a short vector, numpy running
+sums over a long one).
 
 The variational functional phi_ell built from Clh2 has the solved polygon
 as its constrained critical point but is neither concave nor convex, so it
@@ -117,9 +118,7 @@ def phi_ell(lengths, a) -> float:
     lengths = SideLengths.coerce(lengths)
     arr = Vector(a).values
     if arr.size != lengths.n:
-        raise DimensionMismatchError(
-            f"{lengths.n} side lengths vs {arr.size} foot parameters"
-        )
+        raise DimensionMismatchError(f"{lengths.n} side lengths vs {arr.size} foot parameters")
     logl = np.log(lengths.values)
     terms = [clh2(float(ak)) + logl[k] * float(ak) for k, ak in enumerate(arr)]
     return math.fsum(terms[:-1]) - terms[-1]

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import euclidean, hyperbolic, minkowski, spherical, variational
-from .domain import TWO_PI, SideLengths, mean
+from .domain import TWO_PI, SideLengths, excess, fsum, mean
 from .errors import DomainError, InfeasibleError, InvariantViolation
 
 __all__ = [
@@ -134,14 +134,14 @@ def _side_recovery(geometry: str, d: np.ndarray, e: np.ndarray, l: np.ndarray) -
 def _angle_check(angles, chords: np.ndarray) -> tuple:
     """The angle-sum row, and the radii chord / 2 sin(angle / 2) of each side."""
     a = angles.values
-    row = ("angle_sum_abs_error", abs(math.fsum(a.tolist()) - TWO_PI), 1e-11)
+    row = ("angle_sum_abs_error", abs(fsum(a) - TWO_PI), 1e-11)
     return row, chords / (2.0 * np.sin(0.5 * a))
 
 
 def _foot_check(a: np.ndarray, dom: int, chords: np.ndarray) -> tuple:
     """Foot spacings of a hypercycle or hyperbola: the row saying the dominant one
     is the sum of the rest, and the radii chord / 2 sinh(spacing / 2)."""
-    error = abs(float(a[dom]) - math.fsum(a[:dom].tolist() + a[dom + 1:].tolist()))
+    error = abs(excess(a, dom))
     return ("foot_additivity_abs_error", error, 1e-10), chords / (2.0 * np.sinh(0.5 * a))
 
 
@@ -220,7 +220,7 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
             side_bound = max(side_bound, 1.5 * abs(cls.margin) / float(cls.chords[cls.index]))
             payload["offsets"] = sol.offsets.tolist()
             row, ratios = None, None
-            cross = {"chord_margin_rel": float(cls.margin / math.fsum(cls.chords.tolist()))}
+            cross = {"chord_margin_rel": float(cls.margin / fsum(cls.chords))}
         else:
             functional = v[:, 1]
             a = sol.foot_distances.values

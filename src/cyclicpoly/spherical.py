@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths, columns
+from .domain import TWO_PI, CentralAngles, SideLengths, columns, fsum
 from .errors import DomainError, InvariantViolation, NearDegenerateError, PerimeterError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 
@@ -71,7 +71,7 @@ def check_spherical_feasibility(lengths) -> tuple[int, float]:
     negative margin, or a NoPolygonError."""
     lengths = SideLengths.coerce(lengths)
     try:
-        perimeter = math.fsum(lengths.values.tolist())
+        perimeter = fsum(lengths.values)
     except OverflowError:  # positive sides summing past the float maximum
         perimeter = math.inf
     if perimeter >= TWO_PI - _PERIMETER_TOL:

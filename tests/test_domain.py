@@ -2,16 +2,23 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cyclicpoly import domain
 from cyclicpoly.domain import (
+    FSUM_CUTOFF,
+    PREFIX_CUTOFF,
     TWO_PI,
     CentralAngles,
     FootDistances,
     SideLengths,
     dominance,
+    fsum,
     mean,
     prefix_sums,
 )
@@ -117,6 +124,68 @@ class TestDominance:
         assert dominance([1.7e308] * 4) == (0, -math.inf)
 
 
+def _fsum_outcome(total, x):
+    """The bits of total(x), or the class of what it raised."""
+    try:
+        return total(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _math_fsum(x):
+    return math.fsum(x.tolist())
+
+
+#: every finite float, subnormals and +-0 included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFsum:
+    @given(st.lists(any_finite, min_size=1, max_size=40))
+    # a tie broken by 2**-600, the one entry three passes leave over
+    @example([1.0, -1.0, 2.0**-200, 2.0**-253, 2.0**-600])
+    @settings(max_examples=300, deadline=None)
+    def test_extraction_at_any_size_is_math_fsum(self, values):
+        x = np.array(values, dtype=float)
+        with mock.patch.object(domain, "FSUM_CUTOFF", 0):
+            assert _fsum_outcome(fsum, x) == _fsum_outcome(_math_fsum, x)
+
+    @given(
+        st.sampled_from([3, FSUM_CUTOFF - 1, FSUM_CUTOFF, 1500]),
+        st.integers(min_value=-1074, max_value=1023),
+        st.integers(min_value=0, max_value=2100),
+        st.sampled_from(["positive", "mixed", "cancelling"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_long_vectors_are_math_fsum(self, n, top, spread, signs, seed):
+        # entries 2**e times a mantissa in [1, 2), e uniform on [top - spread, top]
+        rng = np.random.default_rng(seed)
+        e = rng.integers(max(top - spread, -1074), top + 1, n)
+        x = np.ldexp(rng.uniform(1.0, 2.0, n), e)
+        if signs == "mixed":
+            x *= rng.choice([-1.0, 1.0], n)
+        elif signs == "cancelling":  # the largest quarter cancelled exactly
+            x.sort()
+            x[: n // 4] = -x[n - n // 4:]
+            rng.shuffle(x)
+        assert _fsum_outcome(fsum, x) == _fsum_outcome(_math_fsum, x)
+
+    @pytest.mark.parametrize("n", [3, FSUM_CUTOFF])
+    def test_raises_what_math_fsum_raises(self, n):
+        with pytest.raises(OverflowError):  # an intermediate sum past the float maximum
+            fsum(np.full(n, 1e308))
+        with pytest.raises(ValueError):  # inf - inf
+            fsum(np.concatenate(([math.inf, -math.inf], np.ones(n))))
+        assert fsum(np.concatenate(([math.inf], np.ones(n)))) == math.inf
+        assert math.isnan(fsum(np.concatenate(([math.nan], np.ones(n)))))
+
+    def test_zero_sums(self):
+        for x in ([-0.0] * FSUM_CUTOFF, [1.0, -1.0] * FSUM_CUTOFF, [0.0] * FSUM_CUTOFF):
+            x = np.array(x)
+            assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
 class TestMean:
     def test_plain_mean_where_it_is_finite(self):
         x = np.random.default_rng(3).uniform(0.5, 2.0, 101)
@@ -167,7 +236,8 @@ class TestPrefixSums:
         self.assert_matches_fsum(marks)
 
     def test_empty(self):
-        assert prefix_sums([]) == ([], [])
+        hi, lo = prefix_sums([])
+        assert hi.size == lo.size == 0
 
     def test_last_bit_near_a_rounding_tie(self):
         # 1 + 2^-53 + 2^-106 lies just above a tie, beyond double-double
@@ -176,3 +246,24 @@ class TestPrefixSums:
         hi, lo = prefix_sums(marks)
         assert hi[3] == 1.0 and lo[3] == 2.0**-53
         assert math.fsum(marks[:3]) == 1.0 + 2.0**-52
+
+    def test_last_bit_near_a_rounding_tie_in_numpy(self):
+        # the same tie on the vector path: the error sum E rounds it alike
+        marks = [1.0, 2.0**-53, 2.0**-106] + [0.0] * PREFIX_CUTOFF
+        hi, lo = prefix_sums(marks)
+        assert hi[3] == 1.0 and lo[3] == 2.0**-53
+
+    @pytest.mark.parametrize("n", [PREFIX_CUTOFF - 1, PREFIX_CUTOFF, 5000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loop_and_vector_paths_agree(self, n, seed):
+        # marks spread over 2**87: hi is bit for bit the same on both paths,
+        # and lo is within half an ulp of hi on both
+        marks = np.exp(np.random.default_rng(seed).uniform(-30.0, 30.0, n))
+        paths = []
+        for cutoff in (0, n + 1):
+            with mock.patch.object(domain, "PREFIX_CUTOFF", cutoff):
+                paths.append(prefix_sums(marks))
+        (hi, lo), (loop_hi, loop_lo) = paths
+        assert hi.tobytes() == loop_hi.tobytes()
+        for h, l in ((hi, lo), (loop_hi, loop_lo)):
+            assert (np.abs(l) <= 0.5 * np.spacing(h)).all()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cyclicpoly import hyperbolic, minkowski
-from cyclicpoly.errors import DimensionMismatchError, DomainError, ReverseInequalityError
+from cyclicpoly.errors import (
+    DimensionMismatchError,
+    DomainError,
+    NearDegenerateError,
+    ReverseInequalityError,
+)
 
 from oracles import phi_root_bisect
 
@@ -84,6 +89,26 @@ class TestSolve:
         sol = minkowski.solve_minkowski([3, 1, 1])
         assert sol.dominant == 0
         assert np.allclose(spacelike_sides(sol.vertices), [3, 1, 1], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1e308, 2e307, 3e307], [1.7e308, 1e307, 1e307], [1.7e308] + [1e304] * 999],
+        ids=["1e308", "1.7e308", "n=1000"],
+    )
+    def test_radius_past_half_the_float_maximum(self, lengths):
+        # the bracket on the radius passes 2**1023, where 2x overflows: the
+        # root is found (6.96e306 for the first), and its vertices pass the range
+        with pytest.raises(NearDegenerateError, match="vertex coordinates"):
+            minkowski.solve_minkowski(lengths)
+
+    def test_half_feet_where_2x_overflows(self):
+        chords = np.array([2e307, 3e307, 1e308])
+        half_max = np.finfo(float).max / 2
+        for x in (1.5, 1e300, half_max):  # the quotient c / 2x, bit for bit
+            assert np.array_equal(hyperbolic._half_feet(x, chords), np.arcsinh(chords / (2.0 * x)))
+        past = np.nextafter(half_max, math.inf)
+        assert np.array_equal(hyperbolic._half_feet(past, chords), np.arcsinh(chords / 2.0 / past))
+        assert hyperbolic.phi(past, chords) > 0.0
 
     def test_infeasible(self):
         with pytest.raises(ReverseInequalityError) as exc_info:

@@ -551,6 +551,9 @@ class TestCliExitCodes:
             '{"geometry":"hyperbolic","lengths":[800.0,800.0,801.3862943611199]}',
             # a Minkowski radius below the smallest subnormal
             '{"geometry":"minkowski","lengths":[5e-324,1,3]}',
+            # a Minkowski radius bracketed past 2**1023, its vertices past the range
+            '{"geometry":"minkowski","lengths":[1e308,2e307,3e307]}',
+            '{"geometry":"minkowski","lengths":[1.7e308,1e307,1e307]}',
             # a side whose chord rounds to 0
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1.9]}',
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1]}',

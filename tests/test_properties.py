@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical
+from cyclicpoly.domain import FSUM_CUTOFF
 from cyclicpoly.errors import InfeasibleError, NoPolygonError
 
 finite_angles = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
@@ -137,6 +138,23 @@ def small_requests(draw):
     return geometry, l
 
 
+# the same envelope at n from FSUM_CUTOFF to 1500, where every defect sum takes
+# domain.fsum's vector path; the sides come from a seeded generator
+@st.composite
+def long_requests(draw):
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = int(rng.integers(FSUM_CUTOFF, 1501))
+    l = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
+    if geometry == "spherical":
+        l *= rng.uniform(0.5, 7.0) / math.fsum(l.tolist())
+    elif geometry == "minkowski":
+        k = int(rng.integers(n))
+        f = math.exp(rng.uniform(math.log(0.75), math.log(1.5)))
+        l[k] = f * math.fsum(np.delete(l, k).tolist())
+    return geometry, l
+
+
 def _radius(geometry: str, l: np.ndarray):
     """The root-find radius (with the hyperbolic curve class), or the type of
     the structured refusal."""
@@ -158,9 +176,59 @@ def _radius(geometry: str, l: np.ndarray):
 def test_radius_is_independent_of_side_order(request, rng):
     # a cyclic polygon's radius does not depend on the order of its sides, and
     # reversing them mirrors it; every defect sum is an fsum, so bit for bit
+    _check_side_order(request, rng)
+
+
+def _check_side_order(request, rng):
     geometry, l = request
     perm = list(range(l.size))
     rng.shuffle(perm)
     radius = _radius(geometry, l)
     assert _radius(geometry, l[perm]) == radius
     assert _radius(geometry, l[::-1]) == radius
+
+
+@given(long_requests(), st.randoms(use_true_random=False))
+@settings(max_examples=6, deadline=None)
+def test_radius_is_independent_of_side_order_in_long_vectors(request, rng):
+    _check_side_order(request, rng)
+
+
+def _per_side(geometry: str, l: np.ndarray):
+    """The central angles (Euclidean, spherical, hyperbolic circle) or the foot
+    spacings (hypercycle, Minkowski) in side order; None on a horocycle, whose
+    offsets are running sums; or the type of the structured refusal."""
+    try:
+        if geometry == "euclidean":
+            return euclidean.solve_euclidean(l).angles.values
+        if geometry == "spherical":
+            return spherical.solve_spherical(l).angles.values
+        if geometry == "minkowski":
+            return minkowski.solve_minkowski(l).foot_params.values
+        sol = hyperbolic.solve_hyperbolic(l)
+        per_side = sol.angles if sol.angles is not None else sol.foot_distances
+        return None if per_side is None else per_side.values
+    except InfeasibleError as exc:
+        return type(exc)
+
+
+def _check_reversal(geometry: str, l: np.ndarray):
+    # reversing the sides mirrors the polygon: each side keeps its central
+    # angle or foot spacing, a function of the side and the radius alone
+    per_side, reversed_ = _per_side(geometry, l), _per_side(geometry, l[::-1])
+    if isinstance(per_side, np.ndarray):
+        assert reversed_.tobytes() == per_side[::-1].tobytes()
+    else:
+        assert reversed_ == per_side
+
+
+@given(small_requests())
+@settings(max_examples=300, deadline=None)
+def test_reversal_reverses_angles_and_feet(request):
+    _check_reversal(*request)
+
+
+@given(long_requests())
+@settings(max_examples=6, deadline=None)
+def test_reversal_reverses_angles_and_feet_in_long_vectors(request):
+    _check_reversal(*request)

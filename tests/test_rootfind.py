@@ -1,9 +1,7 @@
 """Safeguarded Newton root finder: closed-form roots, bracket contract,
 evaluation budget, one evaluation per point, and a 50-digit oracle."""
 
-import functools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -181,17 +179,13 @@ class TestEachPointOnce:
 
         # the Euclidean f(t) reads the half angles at t from a cache, so each
         # computation of them is one evaluation of f at a new t
-        def lru_cache(maxsize):
-            def decorate(half_angles):
-                def recorded(t):
-                    points.append(("f", t))
-                    return half_angles(t)
+        half_angles = euclidean._half_angles
 
-                return functools.lru_cache(maxsize)(recorded)
+        def recorded_half_angles(t, *args):
+            points.append(("f", t))
+            return half_angles(t, *args)
 
-            return decorate
-
-        monkeypatch.setattr(euclidean, "functools", types.SimpleNamespace(lru_cache=lru_cache))
+        monkeypatch.setattr(euclidean, "_half_angles", recorded_half_angles)
         return points
 
     def test_no_point_evaluated_twice(self, monkeypatch):
