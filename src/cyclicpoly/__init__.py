@@ -55,7 +55,6 @@ from .spherical import (
     solve_spherical,
 )
 from .variational import (
-    CriticalPointMismatch,
     check_critical_point,
     f_ell,
     grad_f_ell,
@@ -79,7 +78,6 @@ __all__ = [
     "grad_f_ell",
     "maximize_on_simplex",
     "check_critical_point",
-    "CriticalPointMismatch",
     "check_polygon_inequalities",
     "solve_euclidean",
     "vertices_on_circle",

@@ -7,8 +7,8 @@
 
 INPUT is a path to a JSON request (or '-' / omitted for stdin): an object
 {"geometry": ..., "lengths": [...]}, or an array of such objects for batch
-processing.  Reports go to stdout as JSON; render writes the SVG to --out
-(nothing is written on failure).
+processing (render takes one object).  Reports go to stdout as JSON; render
+writes the SVG to --out (nothing is written on failure).
 
 Exit codes: 0 success, 1 malformed input or an internal error, 2 geometric
 infeasibility.  Exit 1 covers the error codes "parse", "io" and
@@ -45,6 +45,11 @@ def _error_report(code: str, message: str, side: int | None = None) -> dict:
     if side is not None:
         err["side"] = int(side)
     return {"status": "error", "error": err}
+
+
+def _refuse(code: str, message: str) -> int:  # an error report for the whole input
+    sys.stdout.write(polyio.dumps_report(_error_report(code, message)))
+    return EXIT_INVALID
 
 
 def _run_one(args, data) -> tuple[dict, int, str | None]:
@@ -101,32 +106,25 @@ def main(argv=None) -> int:
     try:
         text = _read_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:
-        sys.stdout.write(polyio.dumps_report(_error_report("io", str(exc))))
-        return EXIT_INVALID
+        return _refuse("io", str(exc))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        report = _error_report(
-            "parse", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        )
-        sys.stdout.write(polyio.dumps_report(report))
-        return EXIT_INVALID
+        return _refuse("parse", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # e.g. an integer literal past
         # the int digit limit, or arrays nested past the recursion limit
-        sys.stdout.write(polyio.dumps_report(_error_report("parse", f"invalid JSON: {exc}")))
-        return EXIT_INVALID
+        return _refuse("parse", f"invalid JSON: {exc}")
 
     batch = isinstance(data, list)
+    if batch and args.command == "render":  # one SVG file holds one figure
+        return _refuse("invalid_input", "render takes one request, not an array")
     requests = data if batch else [data]
     reports: list[dict] = []
     codes: list[int] = []
-    rendered: list[str] = []
     for item in requests:
         report, code, svg_text = _run_one(args, item)
         reports.append(report)
         codes.append(code)
-        if svg_text is not None:
-            rendered.append(svg_text)
 
     try:
         text = polyio.dumps_report(reports if batch else reports[0])
@@ -139,8 +137,11 @@ def main(argv=None) -> int:
         text = polyio.dumps_report(reports if batch else reports[0])
 
     if args.command == "render" and not any(codes):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("".join(rendered))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg_text)
+        except OSError as exc:
+            return _refuse("io", str(exc))
 
     sys.stdout.write(text)
     # one unreadable request or internal error (1) outranks any infeasible one (2)

@@ -189,8 +189,8 @@ def phi_prime(x: float, chords) -> float:
     return (0.0 - excess(np.tanh(_half_feet(x, chords)), -1)) / float(x)
 
 
-def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float | None = None) -> RootResult:
-    """Root of phi on (lo, inf), given phi(lo) < 0 (f_lo, if known); the bracket is grown x2."""
+def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float) -> RootResult:
+    """Root of phi on (lo, inf), given f_lo = phi(lo) < 0; the bracket is grown x2."""
     hi = max(2.0 * lo, float(chords.values.max()))
     for _ in range(400):
         f_hi = phi(hi, chords)

@@ -40,31 +40,28 @@ def bisect_newton(
     lo: float,
     hi: float,
     *,
-    dfdx: Callable[[float], float] | None = None,
+    dfdx: Callable[[float], float],
+    f_lo: float,
+    f_hi: float,
     rel_tol: float = 1e-14,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
 ) -> RootResult:
-    """Find the root of f in [lo, hi]; f(lo) and f(hi) must not share a sign.
+    """Find the root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi).
 
-    Safeguarded Newton from the midpoint: the bracket shrinks to every
-    evaluated point, and a step bisects wherever the Newton step (given
-    dfdx) would leave the bracket or not halve the step before last.  The
-    search ends once a Newton step is at most rel_tol * |x| (without dfdx:
-    once the bracket is that narrow), and up to three Newton steps then
-    polish the root while |f| strictly falls, so any tolerance ends at the
-    evaluation noise floor.  Given f_lo or f_hi, f is not evaluated at that end.
+    The two must not share a sign; f is not evaluated at the ends.  Safeguarded
+    Newton from the midpoint: a step bisects wherever the Newton step would
+    leave the bracket or not halve the step before last, or where dfdx gives
+    none (0, inf or NaN: a dfdx that returns NaN forces bisection).  The search
+    ends once a Newton step, or the bracket, is at most rel_tol * |x|; up to
+    three Newton steps then polish the root to the evaluation noise floor.
     """
-    flo = f(lo) if f_lo is None else f_lo
-    if flo == 0.0:
+    if f_lo == 0.0:
         return RootResult(lo, 0, 0.0)
-    fhi = f(hi) if f_hi is None else f_hi
-    if fhi == 0.0:
+    if f_hi == 0.0:
         return RootResult(hi, 0, 0.0)
-    neg_lo = flo < 0.0
-    if neg_lo == (fhi < 0.0):
+    neg_lo = f_lo < 0.0
+    if neg_lo == (f_hi < 0.0):
         raise InvariantViolation(
-            f"root not bracketed: f({lo!r}) = {flo!r}, f({hi!r}) = {fhi!r}"
+            f"root not bracketed: f({lo!r}) = {f_lo!r}, f({hi!r}) = {f_hi!r}"
         )
 
     x = 0.5 * (lo + hi)
@@ -77,7 +74,7 @@ def bisect_newton(
             lo = x
         else:
             hi = x
-        newton = _newton_step(fx, dfdx(x)) if dfdx is not None else None
+        newton = _newton_step(fx, dfdx(x))
         if newton is not None:
             x_new = x - newton
             # tested before the bracket: at the noise floor a sub-ulp step

@@ -38,12 +38,11 @@ in ``euclidean``; agreement of the two is a library self-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import TWO_PI, CentralAngles, SideLengths, mean
-from .errors import ConvergenceError, DimensionMismatchError, DomainError
+from .errors import ConvergenceError, DimensionMismatchError, DomainError, InvariantViolation
 from .specfun import _clausen2_vec
 
 __all__ = [
@@ -52,8 +51,12 @@ __all__ = [
     "grad_f_ell",
     "maximize_on_simplex",
     "check_critical_point",
-    "CriticalPointMismatch",
 ]
+
+_GRAD_SPREAD_TOL = 1e-10  # the ascent stops at this gradient spread max - min
+_MAX_ITERATIONS = 10_000  # ascent steps before ConvergenceError
+_CRITICAL_REL_TOL = 1e-9  # relative spread of the radii check_critical_point accepts
+
 
 def _match(lengths: SideLengths, angles: CentralAngles) -> None:
     if lengths.n != angles.n:
@@ -129,20 +132,16 @@ def _step(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     return a_new
 
 
-def maximize_on_simplex(
-    lengths,
-    *,
-    grad_spread_tol: float = 1e-10,
-    max_iterations: int = 10_000,
-) -> CentralAngles:
+def maximize_on_simplex(lengths) -> CentralAngles:
     """Maximize f_ell over the open simplex of central angles.
 
     The caller is responsible for the strict polygon inequalities (see
     euclidean.check_polygon_inequalities); for such inputs the maximizer is
     the unique interior critical point, where all gradient components agree
     (the shared value is log of the circumradius).  Convergence is declared
-    when the gradient spread max - min drops to grad_spread_tol; one more
-    step is then taken, and kept if its spread is no larger.
+    when the gradient spread max - min drops to _GRAD_SPREAD_TOL; one more
+    step is then taken, and kept if its spread is no larger.  A spread still
+    above it after _MAX_ITERATIONS steps raises ConvergenceError.
     """
     lengths = SideLengths.coerce(lengths)
     n = lengths.n
@@ -153,11 +152,11 @@ def maximize_on_simplex(
     fa = None  # f_ell at a, evaluated only when the line search needs it
     converged = None  # (angles, spread) where the spread test first passed
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         spread = float(g.max() - g.min())
         if converged is not None:
             return CentralAngles(a if spread <= converged[1] else converged[0])
-        if spread <= grad_spread_tol:
+        if spread <= _GRAD_SPREAD_TOL:
             converged = (a, spread)
 
         v, newton = _ascent_direction(g, a)
@@ -197,30 +196,22 @@ def maximize_on_simplex(
     if converged is not None:
         return CentralAngles(converged[0])
     spread = float(g.max() - g.min())
-    if spread <= grad_spread_tol:
+    if spread <= _GRAD_SPREAD_TOL:
         return CentralAngles(a)
     raise ConvergenceError(
-        f"simplex ascent did not reach gradient spread {grad_spread_tol:g} "
+        f"simplex ascent did not reach gradient spread {_GRAD_SPREAD_TOL:g} "
         f"(best {spread:.3e})",
         best=CentralAngles(a),
         gradient_spread=spread,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalPointMismatch:
-    """Report returned when the per-side radii l_k / (2 sin(a_k/2)) disagree."""
-
-    ratios: np.ndarray
-    spread: float  # relative max-min spread of the ratios
-
-
-def check_critical_point(lengths, alpha, *, rel_tol: float = 1e-9):
+def check_critical_point(lengths, alpha) -> float:
     """Verify the circumradius relation at an interior angle vector.
 
     Returns the common value R of l_k / (2 sin(a_k/2)) when all components
-    agree to rel_tol relative, otherwise a CriticalPointMismatch carrying
-    the ratios and their spread (a mismatch is an answer, not an error).
+    agree to _CRITICAL_REL_TOL (1e-9) relative, and raises InvariantViolation
+    with their relative spread otherwise.
     """
     lengths = SideLengths.coerce(lengths)
     alpha = CentralAngles.coerce(alpha)
@@ -230,6 +221,8 @@ def check_critical_point(lengths, alpha, *, rel_tol: float = 1e-9):
     ratios = lengths.values / (2.0 * np.sin(0.5 * alpha.values))
     r = mean(ratios)
     spread = float((ratios.max() - ratios.min()) / r)
-    if spread <= rel_tol:
+    if spread <= _CRITICAL_REL_TOL:
         return r
-    return CriticalPointMismatch(ratios=ratios, spread=spread)
+    raise InvariantViolation(
+        f"variational maximizer is not a critical point (spread {spread:.3e})"
+    )

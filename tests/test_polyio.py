@@ -825,6 +825,35 @@ class TestRender:
         disk = np.array([[x / (1 + z), y / (1 + z)] for x, y, z in rep["solution"]["vertices"]])
         assert np.all(np.linalg.norm(disk, axis=1) < 1.0)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_array_is_refused(self, count, tmp_path, capsys, monkeypatch):
+        # one SVG file holds one figure: [] once wrote an empty file, and two
+        # requests two concatenated documents
+        out = tmp_path / "batch.svg"
+        req = json.dumps([{"geometry": "euclidean", "lengths": [3, 4, 5]}] * count)
+        code, text = run_cli(["render", "--out", str(out)], req, capsys, monkeypatch)
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "code": "invalid_input",
+            "message": "render takes one request, not an array",
+        }
+        assert not out.exists()
+
+    def test_unwritable_out_is_an_io_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "missing" / "x.svg"
+        code, text = run_cli(
+            ["render", "--out", str(out)],
+            '{"geometry":"euclidean","lengths":[3,4,5]}',
+            capsys,
+            monkeypatch,
+        )
+        assert code == 1
+        report = json.loads(text)
+        assert report["status"] == "error"
+        assert report["error"]["code"] == "io"
+        assert "No such file or directory" in report["error"]["message"]
+        assert not out.parent.exists()
+
     def test_degenerate_request_writes_nothing(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "never.svg"
         code, text = run_cli(

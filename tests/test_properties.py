@@ -232,3 +232,34 @@ def test_reversal_reverses_angles_and_feet(request):
 @settings(max_examples=6, deadline=None)
 def test_reversal_reverses_angles_and_feet_in_long_vectors(request):
     _check_reversal(*request)
+
+
+# hypercycles of the small-request envelope: hyperbolic draws from it, made by
+# a seeded generator until one is inscribed in a hypercycle (about 1 in 15)
+@st.composite
+def small_hypercycles(draw):
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    while True:
+        n = int(rng.integers(3, 13))
+        l = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
+        try:
+            cls = hyperbolic.classify(l)
+        except NoPolygonError:
+            continue
+        if cls.kind == hyperbolic.HYPERCYCLE:
+            return l, cls
+
+
+@given(small_hypercycles())
+@settings(max_examples=300, deadline=None)
+def test_spacetime_polygon_on_hypercycle_chords_is_the_hypercycle(hypercycle):
+    # the hypercycle proof also proves the 1+1 spacetime theorem: on the chords
+    # of a hypercycle, the hyperbola has radius cosh R and the same foot
+    # distances.  The two solves bracket phi differently, so they agree to the
+    # phi solve's rel_tol (1e-12), not bit for bit
+    l, cls = hypercycle
+    hyp = hyperbolic.solve_hyperbolic(l)
+    spacetime = minkowski.solve_minkowski(cls.chords)
+    assert spacetime.radius == pytest.approx(math.cosh(hyp.axis_distance), rel=1e-12, abs=0)
+    feet, hyp_feet = spacetime.foot_params.values, hyp.foot_distances.values
+    assert np.all(np.abs(feet - hyp_feet) <= 1e-12 * hyp_feet)

@@ -50,7 +50,7 @@ class EvalCounter:
             monkeypatch.setattr(module, "bisect_newton", self._wrap(module.bisect_newton))
 
     def _wrap(self, fn):
-        def wrapper(f, lo, hi, *, dfdx=None, **kwargs):
+        def wrapper(f, lo, hi, *, dfdx, **kwargs):
             count = [0, 0]
 
             def f_counted(x):
@@ -61,11 +61,10 @@ class EvalCounter:
                 count[1] += 1
                 return dfdx(x)
 
-            res = fn(f_counted, lo, hi, dfdx=dfdx_counted if dfdx else None, **kwargs)
+            res = fn(f_counted, lo, hi, dfdx=dfdx_counted, **kwargs)
             self.solves.append(tuple(count))
-            # f-evaluations after the ends; an end the caller passed in is not evaluated
-            ends = (kwargs.get("f_lo") is None) + (kwargs.get("f_hi") is None)
-            assert res.iterations == count[0] - ends
+            # the caller passes f at both ends, so every evaluation is an iteration
+            assert res.iterations == count[0]
             return res
 
         return wrapper
@@ -96,29 +95,41 @@ class TestClosedForm:
 
 
 class TestBracketContract:
+    @staticmethod
+    def _solve(f, lo, hi, **kwargs):
+        """bisect_newton with the bracket values f(lo) and f(hi) passed in."""
+        return bisect_newton(f, lo, hi, f_lo=f(lo), f_hi=f(hi), **kwargs)
+
+    def test_bracket_values_are_required(self):
+        with pytest.raises(TypeError, match="f_lo"):
+            bisect_newton(lambda x: x - 1.0, 0.0, 2.0, dfdx=lambda x: 1.0, f_hi=1.0)
+        with pytest.raises(TypeError, match="dfdx"):
+            bisect_newton(lambda x: x - 1.0, 0.0, 2.0, f_lo=-1.0, f_hi=1.0)
+
     def test_unbracketed_root_raises(self):
         with pytest.raises(InvariantViolation, match="not bracketed"):
-            bisect_newton(lambda x: x * x + 1.0, 0.0, 1.0, dfdx=lambda x: 2.0 * x)
+            self._solve(lambda x: x * x + 1.0, 0.0, 1.0, dfdx=lambda x: 2.0 * x)
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-2.0, 1.0)])
     def test_zero_at_bracket_end(self, lo, hi):
-        res = bisect_newton(lambda x: x - 1.0, lo, hi, dfdx=lambda x: 1.0)
+        res = self._solve(lambda x: x - 1.0, lo, hi, dfdx=lambda x: 1.0)
         assert (res.root, res.iterations, res.residual) == (1.0, 0, 0.0)
 
     def test_bisection_without_derivative(self):
+        # a derivative that is NaN everywhere gives no Newton step
         calls = []
 
         def f(x):
             calls.append(x)
             return x ** 3 - 2.0
 
-        res = bisect_newton(f, 0.0, 2.0, rel_tol=1e-10)
+        res = self._solve(f, 0.0, 2.0, dfdx=lambda x: math.nan, rel_tol=1e-10)
         assert res.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-10)
-        assert res.iterations == len(calls) - 2
+        assert res.iterations == len(calls) - 2  # the two ends are the caller's
         assert 30 <= res.iterations <= 36  # halving to rel_tol, not Newton
 
     def test_newton_converges_quadratically(self):
-        res = bisect_newton(lambda x: x ** 3 - 2.0, 0.0, 2.0, dfdx=lambda x: 3.0 * x * x)
+        res = self._solve(lambda x: x ** 3 - 2.0, 0.0, 2.0, dfdx=lambda x: 3.0 * x * x)
         assert res.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert res.iterations <= 10
 
@@ -126,20 +137,20 @@ class TestBracketContract:
         # the last Newton step is below one ulp, so x - step is x itself,
         # which is a bracket end: that is convergence, not a reason to bisect
         a, c = 1.723891370552135, 39.31174411534405
-        res = bisect_newton(lambda x: a * x * x - c, 0.0, 14.135858401621663, dfdx=lambda x: 2.0 * a * x)
+        res = self._solve(lambda x: a * x * x - c, 0.0, 14.135858401621663, dfdx=lambda x: 2.0 * a * x)
         assert res.root == pytest.approx(math.sqrt(c / a), rel=1e-15)
         assert res.iterations <= 10
 
     def test_slow_newton_falls_back_to_bisection(self):
         # at a fifth-order root Newton only shrinks the error by 4/5 a step;
         # the safeguard bisects whenever a step fails to halve the one before last
-        res = bisect_newton(lambda x: (x - 0.3) ** 5, 0.0, 1.0, dfdx=lambda x: 5.0 * (x - 0.3) ** 4)
+        res = self._solve(lambda x: (x - 0.3) ** 5, 0.0, 1.0, dfdx=lambda x: 5.0 * (x - 0.3) ** 4)
         assert res.root == pytest.approx(0.3, rel=1e-13)
         assert res.iterations <= 100  # pure Newton inside the bracket takes 140
 
     @pytest.mark.parametrize("rel_tol", [1e-14, 1e-8, 1e-3])
     def test_loose_tolerance_still_polishes(self, rel_tol):
-        res = bisect_newton(lambda x: math.exp(x) - 3.0, 0.0, 5.0, dfdx=math.exp, rel_tol=rel_tol)
+        res = self._solve(lambda x: math.exp(x) - 3.0, 0.0, 5.0, dfdx=math.exp, rel_tol=rel_tol)
         assert res.root == pytest.approx(math.log(3.0), rel=1e-15)
 
 

@@ -13,6 +13,7 @@ from cyclicpoly.errors import (
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
+    InvariantViolation,
     NearDegenerateError,
 )
 
@@ -126,7 +127,7 @@ class TestMaximizer:
 
     def test_infeasible_input_does_not_converge(self):
         with pytest.raises(ConvergenceError) as exc_info:
-            variational.maximize_on_simplex([1, 1, 5], max_iterations=300)
+            variational.maximize_on_simplex([1, 1, 5])
         err = exc_info.value
         assert err.gradient_spread > 0
         assert isinstance(err.best, CentralAngles)
@@ -141,11 +142,10 @@ class TestCriticalPoint:
         r = variational.check_critical_point([3, 4, 5], THALES_345)
         assert r == pytest.approx(2.5, abs=1e-12)
 
-    def test_mismatch_is_returned_not_raised(self):
-        out = variational.check_critical_point([1, 1, 1], [math.pi / 2, math.pi / 2, math.pi])
-        assert isinstance(out, variational.CriticalPointMismatch)
-        assert out.spread > 0.1
-        assert out.ratios.shape == (3,)
+    def test_mismatch_raises(self):
+        # the per-side radii 1/sqrt(2), 1/sqrt(2) and 1/2 spread by 32% of their mean
+        with pytest.raises(InvariantViolation, match=r"not a critical point \(spread 3\.246e-01\)"):
+            variational.check_critical_point([1, 1, 1], [math.pi / 2, math.pi / 2, math.pi])
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
