@@ -17,32 +17,40 @@ negative definite exactly when
 
 which holds for n >= 3 because tan is superadditive on [0, pi/2).
 
-``maximize_on_simplex`` ascends f_l in reduced coordinates that eliminate
-the largest angle a_m, so every other h_j = Cl2''(a_j) is negative and the
-reduced Hessian is diag(h_j) + h_m * ones.  The Sherman-Morrison formula
-solves for the Newton step in O(n); its denominator is the s above.  When the
-other angles are small, s is of the order of their square and is lost to
-rounding, so where the computed s is not positive the step falls back to the
-diagonal step (g_m - g_j) / h_j, which is still an ascent direction.  On a
-line a + t v (sum v = 0) f_l is concave, so f_l(a + t v) >= f_l(a) + t g_t.v
-with g_t its gradient there: a step with g_t.v >= 1e-4 g.v passes the Armijo
-test unevaluated.  Only where it does not (or g_t.v is not finite) does a
-backtracking line search on f_l decide; the Newton endgame makes no test.
-Every step is capped at half the distance to the simplex boundary, so every
-angle stays positive -- the inward derivative at the boundary is +infinity,
-so the maximizer of a feasible instance is interior and the ascent cannot
-stall there.  This path is deliberately independent of the radius root-finder
-in ``euclidean``; agreement of the two is a library self-check.
+``maximize_on_simplex`` starts at the chord angles 2 arcsin(l_k / 2r), scaled
+to sum to 2*pi, of the circle of radius r = max(perimeter / 2pi, longest / 2).
+r <= R, since the perimeter is below 2 pi R and no side passes the diameter
+2R: each chord angle is defined and at least its value at R, so a side of any
+size starts near its own angle, where 2*pi/n is off by the ratio of the sides.
+The ascent runs in reduced coordinates that eliminate the largest angle a_m,
+so every other h_j = Cl2''(a_j) is negative and the reduced Hessian is
+diag(h_j) + h_m * ones.  The Sherman-Morrison formula solves for the Newton
+step in O(n); its denominator is the s above.  When the other angles are
+small, s is of the order of their square and is lost to rounding, so where
+the computed s is not positive the step falls back to the diagonal step
+(g_m - g_j) / h_j, which is still an ascent direction.  On a line a + t v
+(sum v = 0) f_l is concave, so f_l(a + t v) >= f_l(a) + t g_t.v with g_t its
+gradient there: a step with g_t.v >= 1e-4 g.v passes the Armijo test
+unevaluated.  Only where it does not (or g_t.v is not finite) does a
+backtracking line search on f_l decide; the Newton endgame makes no test.  No
+step to a non-finite gradient is kept.  Every step is capped at half the
+distance to the simplex boundary, so every angle stays positive -- the inward
+derivative at the boundary is +infinity, so the maximizer of a feasible
+instance is interior and the ascent cannot stall there.  This path is
+deliberately independent of the radius root-finder in ``euclidean``; agreement
+of the two is a library self-check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .domain import TWO_PI, CentralAngles, SideLengths, mean
-from .errors import ConvergenceError, DimensionMismatchError, DomainError, InvariantViolation
+from .domain import TWO_PI, CentralAngles, SideLengths, fsum, mean
+from .errors import ConvergenceError, DimensionMismatchError, DomainError
+from .errors import InvariantViolation, NearDegenerateError
 from .specfun import _clausen2_vec
 
 __all__ = [
@@ -141,13 +149,20 @@ def maximize_on_simplex(lengths) -> CentralAngles:
     (the shared value is log of the circumradius).  Convergence is declared
     when the gradient spread max - min drops to _GRAD_SPREAD_TOL; one more
     step is then taken, and kept if its spread is no larger.  A spread still
-    above it after _MAX_ITERATIONS steps raises ConvergenceError.
+    above it after _MAX_ITERATIONS steps raises ConvergenceError, and a start
+    angle whose -cot(a/2)/2 overflows NearDegenerateError.
     """
     lengths = SideLengths.coerce(lengths)
-    n = lengths.n
     logl = np.log(lengths.values)
 
-    a = np.full(n, TWO_PI / n)
+    # the start, on the sides scaled by the power of two that puts the longest in [0.5, 1)
+    l = np.ldexp(lengths.values, -math.frexp(float(lengths.values.max()))[1])
+    r = max(fsum(l) / TWO_PI, 0.5 * float(l.max()))  # a lower bound on R
+    a = 2.0 * np.arcsin(np.minimum(1.0, l / (2.0 * r)))
+    a *= TWO_PI / fsum(a)
+    k = int(np.argmin(a))
+    if not math.tan(0.5 * a[k]) >= 0.5 / sys.float_info.max:  # h_k would overflow
+        raise NearDegenerateError(f"side {k} is too short for its simplex-ascent angle", index=k)
     g = _gradient(logl, a)
     fa = None  # f_ell at a, evaluated only when the line search needs it
     converged = None  # (angles, spread) where the spread test first passed
@@ -164,13 +179,14 @@ def maximize_on_simplex(lengths) -> CentralAngles:
         if not slope > 0.0:
             break  # numerically stationary
 
-        # cap the step at half the distance to the simplex boundary
+        # cap the step at half the distance to the simplex boundary (a ratio over
+        # a tiny v_k overflows and does not bind); off a feasible path g_new may
+        # be non-finite
         falling = v < 0.0
-        t = min(1.0, 0.5 * float((a[falling] / -v[falling]).min()))
-
-        a_new = _step(a, t, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_new = _gradient(logl, a_new)  # may be non-finite off a feasible path
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = min(1.0, 0.5 * float((a[falling] / -v[falling]).min()))
+            a_new = _step(a, t, v)
+            g_new = _gradient(logl, a_new)
         # endgame: objective improvements drop below evaluation noise, so let
         # Newton contract the iterate; elsewhere concavity proves Armijo
         if (newton and spread < 1e-5) or g_new @ v >= 1e-4 * slope:
@@ -189,8 +205,8 @@ def maximize_on_simplex(lengths) -> CentralAngles:
                 break  # no ascent within 60 halvings
             if halvings:
                 g_new = _gradient(logl, a_new)
-        if (a_new == a).all():
-            break  # the step is lost to rounding: numerically stationary
+        if (a_new == a).all() or not np.isfinite(g_new).all():
+            break  # the step is lost to rounding, or leaves the feasible path
         a, g = a_new, g_new
 
     if converged is not None:

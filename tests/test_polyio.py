@@ -293,7 +293,7 @@ SCALE_REQUESTS = [
         for g in ("euclidean", "spherical", "hyperbolic")
     ),
 ]
-# the variational path does not converge on this one (see CHANGES.md)
+# the simplex ascent refuses this one as near-degenerate (see TestCliExitCodes)
 SCALE_SOLVE_ONLY = [{"geometry": "euclidean", "lengths": [1e-320, 1, 1, 1.9]}]
 
 
@@ -569,6 +569,21 @@ class TestCliExitCodes:
             code, out = run_cli(["solve"], request_text, capsys, monkeypatch)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "near_degenerate"
+
+    def test_subnormal_simplex_angle_verify_exit_2(self, capsys, monkeypatch):
+        # the root solve passes, but the simplex ascent's -cot(a/2)/2 would
+        # overflow at the 1e-320 side's start angle; a side of 1e-308 passes
+        request_text = '{"geometry":"euclidean","lengths":[1e-320,1,1,1.9]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["verify"], request_text, capsys, monkeypatch)
+            assert run_cli(["verify"], request_text.replace("320", "308"), capsys, monkeypatch)[0] == 0
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "near_degenerate",
+            "message": "side 0 is too short for its simplex-ascent angle",
+            "side": 0,
+        }
 
     def test_malformed_json_exit_1(self, capsys, monkeypatch):
         code, out = run_cli(["solve"], '{"geometry": euclidean}', capsys, monkeypatch)

@@ -1,13 +1,14 @@
 """Property-based invariants of the scalar building blocks and of the solved radius."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical
+from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical, variational
 from cyclicpoly.domain import FSUM_CUTOFF
 from cyclicpoly.errors import InfeasibleError, NoPolygonError
 
@@ -124,8 +125,8 @@ GEOMETRIES = ("euclidean", "spherical", "hyperbolic", "minkowski")
 # [0.25, 4]; spherical perimeters uniform on [0.5, 7]; one Minkowski side set to
 # the sum of the others times f, f log-uniform on [0.75, 1.5]
 @st.composite
-def small_requests(draw):
-    geometry = draw(st.sampled_from(GEOMETRIES))
+def small_requests(draw, geometries=GEOMETRIES):
+    geometry = draw(st.sampled_from(geometries))
     n = draw(st.integers(min_value=3, max_value=12))
     log_side = st.floats(min_value=math.log(0.25), max_value=math.log(4.0))
     l = np.exp(draw(st.lists(log_side, min_size=n, max_size=n)))
@@ -192,6 +193,40 @@ def _check_side_order(request, rng):
 @settings(max_examples=6, deadline=None)
 def test_radius_is_independent_of_side_order_in_long_vectors(request, rng):
     _check_side_order(request, rng)
+
+
+# a center-outside pentagon of the envelope, 0.9% of its longest side from flat:
+# reversing its sides moves the variational radius by 9.1e-14
+NEAR_FLAT_PENTAGON = [
+    0.3784286239146148, 0.5442745554447188, 0.3214175477703104, 1.8258552846423166, 0.590676693715851
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="near a flat polygon the gradient-spread stop of the simplex ascent leaves "
+    "a radius error of up to about 1e-13 that depends on the side order",
+)
+@given(small_requests(("euclidean",)), st.randoms(use_true_random=False))
+@example(("euclidean", np.array(NEAR_FLAT_PENTAGON)), random.Random(0))
+@settings(max_examples=300, deadline=None)
+def test_variational_radius_is_independent_of_side_order(request, rng):
+    # the variational path, too, finds one radius whatever the order of the
+    # sides, up to the rounding of its last steps
+    _, l = request
+    try:
+        euclidean.check_polygon_inequalities(l)
+    except InfeasibleError:
+        assume(False)
+    perm = list(range(l.size))
+    rng.shuffle(perm)
+    radius = _variational_radius(l)
+    for other in (l[perm], l[::-1]):
+        assert abs(_variational_radius(other) - radius) <= 1e-14 * radius
+
+
+def _variational_radius(l: np.ndarray) -> float:
+    return variational.check_critical_point(l, variational.maximize_on_simplex(l))
 
 
 def _per_side(geometry: str, l: np.ndarray):

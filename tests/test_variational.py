@@ -1,6 +1,7 @@
 """Variational functional, gradient, simplex maximizer, critical points."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cyclicpoly.errors import (
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
+    InfeasibleError,
     InvariantViolation,
     NearDegenerateError,
 )
@@ -244,20 +246,49 @@ class TestNewtonStep:
         assert report["checks"]["dual_path_radius_rel_delta"] <= 1e-12
 
     def test_stalled_ascent_stops(self, monkeypatch):
-        # the maximizer needs two angles of pi - 1e-300, which round to pi;
-        # once a step no longer changes the iterate the ascent gives up
-        # instead of spending its whole iteration budget
-        calls = []
-        direction = variational._ascent_direction
-
-        def counted(g, a):
-            calls.append(None)
-            return direction(g, a)
-
-        monkeypatch.setattr(variational, "_ascent_direction", counted)
+        # 1 = 0.5 + 0.5 + 1e-300 is flat to rounding: the maximizer needs three
+        # angles within rounding of 0 and one of 2*pi; once a step no longer
+        # changes the iterate the ascent gives up instead of spending its whole
+        # iteration budget
+        calls = _count_directions(monkeypatch)
         with pytest.raises(ConvergenceError):
-            variational.maximize_on_simplex([1, 1, 1e-300])
+            variational.maximize_on_simplex([0.5, 0.5, 1, 1e-300])
         assert len(calls) < 2000
+
+    def test_tiny_third_side_converges_at_the_start(self, monkeypatch):
+        # [1, 1, 1e-300] is the segment of length 1 traversed twice: the start
+        # circle, of radius 1/2, is its circumcircle to rounding
+        calls = _count_directions(monkeypatch)
+        alpha = variational.maximize_on_simplex([1, 1, 1e-300])
+        assert len(calls) <= 1
+        assert variational.check_critical_point([1, 1, 1e-300], alpha) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [1e-8, 1, 1],
+            [1e308] * 3,
+            [1.2e308, 0.8e308, 0.8e308],
+            [1e-300, 1, 1, 1],
+            [1e-308, 1, 1, 1.9],
+        ],
+        ids=["needle", "huge", "huge-sum-overflows", "tiny-beside-unit", "tiny-center-outside"],
+    )
+    def test_hard_inputs_converge_without_warning(self, lengths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r_var = variational.check_critical_point(lengths, variational.maximize_on_simplex(lengths))
+        r_root = euclidean.solve_euclidean(lengths).radius
+        assert abs(r_var - r_root) / r_root <= 1e-12
+
+    def test_subnormal_start_angle_is_near_degenerate(self):
+        # tan(a/2) of the 1e-320 side's angle is below 1/(2 * float max), so
+        # h = -cot(a/2)/2 would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NearDegenerateError) as exc_info:
+                variational.maximize_on_simplex([1e-320, 1, 1, 1.9])
+        assert exc_info.value.index == 0
 
     def test_no_dense_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -267,6 +298,64 @@ class TestNewtonStep:
         for lengths in ([1, 1, 1], [3, 4, 5], HARD_QUAD, [1.0, 1.2, 0.8, 2.9]):
             alpha = variational.maximize_on_simplex(lengths)
             assert isinstance(variational.check_critical_point(lengths, alpha), float)
+
+
+def _count_directions(monkeypatch) -> list:
+    calls = []
+    direction = variational._ascent_direction
+
+    def counted(g, a):
+        calls.append(None)
+        return direction(g, a)
+
+    monkeypatch.setattr(variational, "_ascent_direction", counted)
+    return calls
+
+
+def _verify_workload_sides(seed: int) -> list[np.ndarray]:
+    """The side vectors of one pass of the benchmark's verify workload
+    (perfbench/workloads.py): n log-uniform on [8, 600], sides log-uniform on
+    [0.1, 10], draws whose largest side is 0.9 to 1 times the sum of the
+    others redrawn, and every fourth draw made center-outside."""
+    rng = np.random.default_rng([seed, 3])
+    lo, hi, count = math.log(8), math.log(600), 200
+    out = []
+    for i in range(count):
+        n = int(round(math.exp(lo + (i + rng.uniform()) / count * (hi - lo))))
+        while True:
+            l = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+            if not 0.9 <= l.max() / (math.fsum(l.tolist()) - l.max()) < 1.0:
+                break
+        if i % 4 == 3:
+            k = int(rng.integers(n))
+            l[k] = 0.0
+            l[k] = math.fsum(l) * rng.uniform(0.75, 0.88)
+        out.append(l)
+    return out
+
+
+def test_verify_workload_needs_few_gradients(monkeypatch):
+    # from the equal angles 2*pi/n the ascent took 10.4 gradients per
+    # maximization on these requests; from the chord angles of the lower-bound
+    # circle it takes 4.3
+    calls = []
+    gradient = variational._gradient
+
+    def counted(logl, a):
+        calls.append(None)
+        return gradient(logl, a)
+
+    monkeypatch.setattr(variational, "_gradient", counted)
+    maximized = 0
+    for l in _verify_workload_sides(0):
+        try:
+            euclidean.check_polygon_inequalities(l)
+        except InfeasibleError:
+            continue
+        variational.maximize_on_simplex(l)
+        maximized += 1
+    assert maximized >= 150
+    assert len(calls) / maximized <= 6
 
 
 def _count_clausen_calls(monkeypatch, lengths) -> int:
