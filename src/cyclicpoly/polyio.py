@@ -13,9 +13,11 @@ bad report.
 
 Floats are serialized with 17 significant digits (binary64 round-trip
 exact) in one template pass: one walk builds a %-template with a %.17g field
-per float, putting a dict's float and str values on their key's line and a
-float vector or matrix in one piece, and one % fills it.  Keys and strings
-are quoted as json.dumps quotes them.  Reports round-trip byte for byte.
+per float, and one % fills it.  A float vector or matrix is one block: payloads
+hold the solvers' float64 arrays, and a list of floats or of equal-length float
+lists is read into one; a finite matrix column of one value (the shared height
+of the vertices on a sphere's circle) is formatted once, into the row text.
+Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         payload = {
             "radius": float(sol.radius),
             "center_inside": bool(sol.center_inside),
-            "angles": sol.angles.values.tolist(),
-            "vertices": v.tolist(),
+            "angles": sol.angles.values,
+            "vertices": v,
         }
     elif geometry == "spherical":
         axis_dots = v[:, 2]
@@ -185,8 +187,8 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         payload = {
             "chordal_radius": float(sol.chordal_radius),
             "circumradius": float(sol.circumradius),
-            "angles": sol.angles.values.tolist(),
-            "vertices": v.tolist(),
+            "angles": sol.angles.values,
+            "vertices": v,
         }
     elif geometry == "minkowski":
         r = math.ldexp(sol.radius, e_min)
@@ -197,8 +199,8 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         payload = {
             "radius": float(sol.radius),
             "dominant": int(sol.dominant),
-            "foot_params": a.tolist(),
-            "vertices": v.tolist(),
+            "foot_params": a,
+            "vertices": v,
         }
     else:
         cls = sol.curve_class
@@ -206,26 +208,26 @@ def _report_body(geometry: str, lengths: SideLengths, sol):
         curve = f"hyperbolic:{kind}"
         payload = {
             "class": {"kind": kind, "dominant": int(cls.index), "margin": float(cls.margin)},
-            "vertices": v.tolist(),
+            "vertices": v,
         }
         if kind == hyperbolic.CIRCLE:
             functional = v[:, 2]
             payload["circumradius"] = float(sol.circumradius)
-            payload["angles"] = sol.angles.values.tolist()
+            payload["angles"] = sol.angles.values
             row, ratios = _angle_check(sol.angles, cls.chords)
         elif kind == hyperbolic.HOROCYCLE:
             functional = v[:, 2] - v[:, 0]  # == 1 on the horocycle
             # a banded horocycle answers the nearest exact-horocycle instance: its
             # dominant side may differ from the request by the classification margin
             side_bound = max(side_bound, 1.5 * abs(cls.margin) / float(cls.chords[cls.index]))
-            payload["offsets"] = sol.offsets.tolist()
+            payload["offsets"] = sol.offsets
             row, ratios = None, None
             cross = {"chord_margin_rel": float(cls.margin / fsum(cls.chords))}
         else:
             functional = v[:, 1]
             a = sol.foot_distances.values
             payload["axis_distance"] = float(sol.axis_distance)
-            payload["foot_distances"] = a.tolist()
+            payload["foot_distances"] = a
             row, ratios = _foot_check(a, cls.index, cls.chords)
         residency = float(np.abs(_form(v, signs) + 1.0).max())
         rows = [
@@ -330,14 +332,21 @@ def cli_render(report: dict) -> str:
 # canonical JSON
 
 
-def _layout(item: str, count: int, pad: str, step: str) -> str:
-    """The text of a list of count >= 1 values that each print as `item`."""
-    return f"[\n{pad}{step}{item}" + f",\n{pad}{step}{item}" * (count - 1) + f"\n{pad}]"
+def _layout(items: list, pad: str, step: str) -> str:
+    """The text of a list whose values print as `items`."""
+    return f"[\n{pad}{step}" + f",\n{pad}{step}".join(items) + f"\n{pad}]" if items else "[]"
 
 
 def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
-    """Append obj's template text to `out` and its floats to `floats`; `step` is one indent."""
+    """Append obj's template text to `out` and its floats to `floats`; `step` is one indent.
+    Each float goes in as 0.0 + x: 0.0 + -0.0 is 0.0, and "-0" would reparse as an integer."""
     inner = pad + step
+    if type(obj) is list:  # a float vector, or an equal-width float matrix
+        kinds = set(map(type, obj))
+        if kinds == {list} and len(set(map(len, obj))) == 1:
+            kinds = {type(x) for row in obj for x in row}
+        if kinds == {float}:
+            obj = np.array(obj)
     if isinstance(obj, dict):
         sep = "{\n"
         for k, v in obj.items():
@@ -347,24 +356,28 @@ def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
             sep = ",\n"
             if type(v) is float:
                 out.append(head + "%.17g")
-                floats.append(v)
+                floats.append(0.0 + v)
             elif type(v) is str:
                 out.append(head + encode_basestring_ascii(v).replace("%", "%%"))
             else:
                 out.append(head)
                 _emit(v, out, floats, inner, step)
         out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2):
+            raise InvariantViolation(f"unserializable {obj.ndim}-d report array of {obj.dtype}")
+        cell = "%.17g"
+        if obj.ndim == 2 and len(obj):
+            # a finite column equal to its first entry all the way down goes into the row text
+            first = obj[0].tolist()
+            same = np.logical_and.reduce(obj == obj[0]).tolist()
+            keep = [j for j, x in enumerate(first) if not (same[j] and math.isfinite(x))]
+            cells = [cell if j in keep else "%.17g" % (0.0 + x) for j, x in enumerate(first)]
+            cell = _layout(cells, inner, step)
+            obj = obj.take(keep, axis=1)
+        out.append(_layout([cell] * len(obj), pad, step))
+        floats += (obj + 0.0).ravel().tolist()
     elif isinstance(obj, (list, tuple)):
-        flat, cell = obj, "%.17g"
-        kinds = set(map(type, obj)) if type(obj) is list else None
-        if kinds == {list} and len(set(map(len, obj))) == 1:
-            flat = [x for row in obj for x in row]
-            cell = _layout(cell, len(obj[0]), inner, step)
-            kinds = set(map(type, flat))
-        if kinds == {float}:
-            out.append(_layout(cell, len(obj), pad, step))
-            floats += flat
-            return
         for i, v in enumerate(obj):
             out.append(("[\n" if i == 0 else ",\n") + inner)
             _emit(v, out, floats, inner, step)
@@ -373,7 +386,7 @@ def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
         out.append("true" if obj is True else "false" if obj is False else str(obj))
     elif isinstance(obj, float):
         out.append("%.17g")
-        floats.append(obj)
+        floats.append(0.0 + obj)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj).replace("%", "%%"))
     elif obj is None:
@@ -392,7 +405,6 @@ def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
         bad = next(x for x in floats if not math.isfinite(x))
         raise InvariantViolation(f"non-finite value {bad!r} in report")
     out.append("\n")
-    # 0.0 + -0.0 is 0.0: "-0" would reparse as an integer.  tuple() of a
-    # list allocates once; a tuple built from an iterator is resized as it
-    # fills, which let peak RSS creep up over many reports.
-    return "".join(out) % tuple([0.0 + x for x in floats])
+    # tuple() of a list allocates once; a tuple built from an iterator is
+    # resized as it fills, which let peak RSS creep up over many reports
+    return "".join(out) % tuple(floats)

@@ -5,9 +5,11 @@ in the ambient 3-space yields a Euclidean cyclic polygon with the same
 central angles and the chords lbar = 2 sin(l/2), which chord_from_arc maps
 once per request and the solution keeps.  A spherical instance is feasible
 iff the polygon inequalities hold strictly and the perimeter stays strictly
-below 2*pi (at 2*pi the polygon degenerates to a great circle); for feasible
-input the chordal circumradius is guaranteed to be < 1, so the planar
-solution lifts back to the sphere at height sqrt(1 - Rbar^2) along the axis.
+below 2*pi (at 2*pi the polygon degenerates to a great circle), which is
+decided on the exact sum of the sides; for feasible input the chordal
+circumradius is < 1, so the planar solution lifts back to the sphere at height
+sqrt(1 - Rbar^2) along the axis.  A perimeter so close to 2*pi that Rbar
+rounds to 1 ends in NearDegenerateError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import TWO_PI, CentralAngles, SideLengths, columns, fsum
-from .errors import DomainError, InvariantViolation, NearDegenerateError, PerimeterError
+from .errors import DomainError, NearDegenerateError, PerimeterError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 
 __all__ = [
@@ -28,8 +30,8 @@ __all__ = [
     "solve_spherical",
 ]
 
-#: reject perimeters within this absolute tolerance of 2*pi
-_PERIMETER_TOL = 1e-12
+#: 2*pi - TWO_PI, rounded: TWO_PI + TWO_PI_LO is 2*pi to within 6e-33
+TWO_PI_LO = 2.4492935982947064e-16
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +68,17 @@ def chord_from_arc(lengths) -> np.ndarray:
 
 
 def check_spherical_feasibility(lengths) -> tuple[int, float]:
-    """Raise PerimeterError unless the sides sum to strictly below 2*pi, then
-    return check_polygon_inequalities(lengths): the longest side and its
-    negative margin, or a NoPolygonError."""
+    """Raise PerimeterError unless the exact sum of the sides is strictly below
+    2*pi, then return check_polygon_inequalities(lengths): the longest side and
+    its negative margin, or a NoPolygonError."""
     lengths = SideLengths.coerce(lengths)
     try:
-        perimeter = fsum(lengths.values)
+        gap = fsum(np.append(lengths.values, (-TWO_PI, -TWO_PI_LO)))  # exactly rounded
     except OverflowError:  # positive sides summing past the float maximum
-        perimeter = math.inf
-    if perimeter >= TWO_PI - _PERIMETER_TOL:
+        gap = math.inf
+    if gap >= 0.0:
         raise PerimeterError(
-            f"perimeter {perimeter:g} is not strictly below 2*pi: the "
+            f"perimeter {gap + TWO_PI:g} is not strictly below 2*pi: the "
             "polygon degenerates to a great circle"
         )
     return check_polygon_inequalities(lengths)
@@ -90,10 +92,10 @@ def solve_spherical(lengths) -> SphericalSolution:
     chords = chord_from_arc(lengths)
     planar = solve_euclidean(chords)
     rbar = planar.radius
-    if rbar >= 1.0:
-        # impossible for feasible input; means the solver itself is broken
-        raise InvariantViolation(
-            f"chordal circumradius {rbar!r} >= 1 for feasible spherical input"
+    if rbar >= 1.0:  # a perimeter within rounding of 2*pi
+        raise NearDegenerateError(
+            f"chordal circumradius {rbar!r} is not below 1: the perimeter is "
+            "within rounding of 2*pi"
         )
     height = math.sqrt(1.0 - rbar * rbar)
     vertices = columns(lengths.n, *planar.vertices.T, height)

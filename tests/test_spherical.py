@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -92,10 +93,56 @@ class TestFeasibility:
         assert exc.value.index == 2 and exc.value.equality
 
     def test_great_circle_boundary_rejected(self):
-        # perimeter exactly 2*pi degenerates to a great circle
+        # a perimeter at or past 2*pi degenerates to a great circle; [pi/2] * 4
+        # sums exactly to 2*pi - 2.4e-16, so one side is two ulps longer
+        lengths = [math.pi / 2] * 3 + [math.pi / 2 + 2 * math.ulp(math.pi / 2)]
         for check in (spherical.check_spherical_feasibility, spherical.solve_spherical):
             with pytest.raises(PerimeterError, match="great circle"):
-                check([math.pi / 2] * 4)
+                check(lengths)
+
+
+T = 2.0943951023931953  # 2*pi/3 rounded down: [T] * 3 sums exactly to 2*pi - 6.9e-16
+
+
+class TestExactPerimeter:
+    # existence is decided on the exact sum of the sides, not within a tolerance of 2*pi
+    @pytest.mark.parametrize(
+        "lengths, rbar",
+        [
+            ([T, T, 2.094395102393], 0.9999999999999811),
+            ([T, T, 2.0943951023931], None),
+            ([3.0, 3.0, 0.283185307179], None),
+            ([math.pi / 2] * 4, 0.9999999999999999),
+        ],
+    )
+    def test_perimeter_just_below_two_pi_solves(self, lengths, rbar):
+        for command in (polyio.cli_solve, polyio.cli_verify):
+            rep = command(polyio.parse_request({"geometry": "spherical", "lengths": lengths}))
+            assert rep["status"] == "ok"
+            assert rep["solution"]["chordal_radius"] < 1.0
+            if rbar is not None:
+                assert rep["solution"]["chordal_radius"] == rbar
+
+    @pytest.mark.parametrize("lengths", [[T, T, T], [T, T, math.nextafter(T, math.inf)]])
+    def test_chordal_radius_rounding_to_one_is_near_degenerate(self, lengths):
+        spherical.check_spherical_feasibility(lengths)  # the polygon exists
+        with pytest.raises(NearDegenerateError, match="chordal circumradius 1.0 is not below 1"):
+            spherical.solve_spherical(lengths)
+
+    def test_boundary_falls_between_adjacent_floats(self):
+        # [h] * 3 with h = pi/2 rounded sums exactly to 2*pi - (h + 2.4e-16): a
+        # fourth side of h + 1 ulp leaves the perimeter 2.3e-17 below 2*pi, and
+        # the next float, h + 2 ulps, passes 2*pi
+        h = math.pi / 2
+        below = math.nextafter(h, 2.0)
+        assert spherical.check_spherical_feasibility([h, h, h, below]) == (3, -3 * h + below)
+        with pytest.raises(PerimeterError, match="perimeter 6.28319 is not strictly below 2"):
+            spherical.check_spherical_feasibility([h, h, h, math.nextafter(below, 2.0)])
+
+    def test_two_pi_lo_is_what_two_pi_rounds_off(self):
+        two_pi = Decimal("6.283185307179586476925286766559005768394")  # 40 digits
+        assert float(two_pi) == TWO_PI
+        assert float(two_pi - Decimal(TWO_PI)) == spherical.TWO_PI_LO
 
 
 class TestSolve:
