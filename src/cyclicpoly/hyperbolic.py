@@ -29,7 +29,8 @@ Constructions, one per class:
   negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
   Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar) then mark the vertex feet
   along the axis geodesic, and vertices are
-  (Rbar sinh t, sinh R, Rbar cosh t).
+  (Rbar sinh t, sinh R, Rbar cosh t).  This Phi step, bracket from x = 1,
+  root and placement, is solve_on_axis; minkowski's hyperbola takes it too.
 
 Placement conventions (a choice, fixed for reproducibility): the circle is
 centered on (0, 0, 1) with the first vertex in the x1 x3-plane; horocycle
@@ -56,7 +57,7 @@ from .domain import CentralAngles, FootDistances, SideLengths, columns, dominanc
 from .domain import fsum, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
 from .euclidean import check_polygon_inequalities, solve_euclidean
-from .rootfind import RootResult, bisect_newton
+from .rootfind import bisect_newton
 
 __all__ = [
     "CIRCLE",
@@ -189,49 +190,6 @@ def phi_prime(x: float, chords) -> float:
     return (0.0 - excess(np.tanh(_half_feet(x, chords)), -1)) / float(x)
 
 
-def _solve_phi_root(chords: SideLengths, lo: float, f_lo: float) -> RootResult:
-    """Root of phi on (lo, inf), given f_lo = phi(lo) < 0; the bracket is grown x2."""
-    hi = max(2.0 * lo, float(chords.values.max()))
-    for _ in range(400):
-        f_hi = phi(hi, chords)
-        if f_hi > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InvariantViolation("could not bracket the phi root; chords do not dominate")
-    return bisect_newton(
-        lambda x: phi(x, chords),
-        lo,
-        hi,
-        dfdx=lambda x: phi_prime(x, chords),
-        rel_tol=_PHI_REL_TOL,
-        f_lo=f_lo,
-        f_hi=f_hi,
-    )
-
-
-def solve_hypercycle_radius(chords) -> float:
-    """Unique zero Rbar = cosh(R) of phi in (1, inf); dominant chord last.
-
-    Requires chords of an actual hyperbolic polygon, i.e. the dominant chord
-    exceeds the sum of the others while the underlying geodesic lengths
-    still satisfy the polygon inequalities (equivalently phi(1) < 0).
-    Violations are a caller bug and raise InvariantViolation.
-    """
-    c = SideLengths.coerce(chords)
-    if excess(c.values, -1) <= 0.0:
-        raise InvariantViolation(
-            "hypercycle condition fails: last chord does not exceed the sum of the others"
-        )
-    f_lo = phi(1.0, c)
-    if f_lo >= 0.0:
-        raise InvariantViolation(
-            "phi(1) >= 0: the geodesic lengths behind these chords violate the "
-            "polygon inequalities, so no hypercycle polygon exists"
-        )
-    return _solve_phi_root(c, 1.0, f_lo).root
-
-
 def dominant_last(dom: int, n: int) -> np.ndarray:
     """Marking order: caller indices starting after side ``dom``, so it comes last."""
     return np.arange(dom + 1, dom + 1 + n) % n
@@ -270,6 +228,69 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     return t, marks, points
 
 
+def solve_on_axis(chords, dom: int, floor: float):
+    """The Phi step of the hypercycle and the Minkowski hyperbola: the zero x
+    of phi on ``chords`` (caller order, dominant side ``dom`` rotated last),
+    then place's points x (sinh t, cosh t) at the marks 2 arsinh(c_k / 2x).
+    Returns (rootfind.RootResult, FootDistances, points), both in caller order.
+
+    The bracket starts at lo = 1.  While Phi(lo) >= 0, the last lower end and
+    its Phi become the upper end and lo moves to min(lo, c_dom) / 2; where lo
+    never moves, the upper end is max(2, c_max), doubled until Phi > 0.
+    Raises NearDegenerateError (``index`` dom) where Phi(lo) >= 0 at
+    lo <= floor, as at x = 1 for a hypercycle within rounding of its axis, or
+    where the next lo would be 0 or put c_dom / 2lo past the float range.
+    """
+    rot = SideLengths(chords[dominant_last(dom, len(chords))])  # checked once
+    c_dom, lo, hi = float(chords[dom]), 1.0, None
+    while not (f_lo := phi(lo, rot)) < 0.0:
+        hi, f_hi, lo = lo, f_lo, 0.5 * min(lo, c_dom)
+        if hi <= floor or lo == 0.0 or math.isinf(c_dom / (2.0 * lo)):
+            raise NearDegenerateError(
+                f"the hypercycle lies within rounding of its axis (Phi(1) = {f_hi:g}): "
+                "its distance from the axis cannot be resolved"
+                if floor
+                else f"the radius is below {hi:g}, too small for it or its rapidities "
+                "to be represented",
+                index=dom,
+            )
+    if hi is None:
+        hi = max(2.0, c_dom)
+        for _ in range(400):
+            if (f_hi := phi(hi, rot)) > 0.0:
+                break
+            hi *= 2.0
+        else:
+            raise InvariantViolation("could not bracket the phi root; chords do not dominate")
+    res = bisect_newton(
+        lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),
+        rel_tol=_PHI_REL_TOL, f_lo=f_lo, f_hi=f_hi,
+    )
+    _, feet, points = place(2.0 * _half_feet(res.root, rot), dom, res.root)
+    return res, FootDistances(feet), points
+
+
+def solve_hypercycle_radius(chords) -> float:
+    """Unique zero Rbar = cosh(R) of phi in (1, inf), by solve_on_axis;
+    dominant chord last.
+
+    Requires chords of an actual hyperbolic polygon, i.e. the dominant chord
+    exceeds the sum of the others while the underlying geodesic lengths
+    still satisfy the polygon inequalities (equivalently phi(1) < 0).
+    Violations are a caller bug and raise InvariantViolation, as do chords
+    whose root or vertices solve_on_axis refuses as near-degenerate.
+    """
+    c = SideLengths.coerce(chords)
+    if excess(c.values, -1) <= 0.0:
+        raise InvariantViolation(
+            "hypercycle condition fails: last chord does not exceed the sum of the others"
+        )
+    try:
+        return solve_on_axis(c, c.n - 1, 1.0)[0].root
+    except NearDegenerateError as exc:
+        raise InvariantViolation(f"no hypercycle polygon has these chords: {exc}") from exc
+
+
 def solve_hyperbolic(lengths) -> HyperbolicSolution:
     """Construct the unique hyperbolic cyclic polygon with the given sides.
 
@@ -296,27 +317,18 @@ def solve_hyperbolic(lengths) -> HyperbolicSolution:
             iterations=planar.iterations,
         )
 
-    rot = cls.chords[dominant_last(cls.index, n)]
     if cls.kind == HOROCYCLE:
-        offsets, _, vertices = place(rot, cls.index)
+        offsets, _, vertices = place(cls.chords[dominant_last(cls.index, n)], cls.index)
         return HyperbolicSolution(cls, vertices, offsets=offsets)
 
-    rot = SideLengths(rot)  # checked once, for the root and the marks
-    f_lo = phi(1.0, rot)
-    if not f_lo < 0.0:  # Phi(1) < 0 holds exactly; its rounding lost the sign
-        raise NearDegenerateError(
-            f"the hypercycle lies within rounding of its axis (Phi(1) = {f_lo:g}): "
-            "its distance from the axis cannot be resolved",
-            index=cls.index,
-        )
-    res = _solve_phi_root(rot, 1.0, f_lo)
+    # Phi(1) < 0 holds exactly; where its rounding lost the sign, floor 1 raises
+    res, feet, points = solve_on_axis(cls.chords, cls.index, 1.0)
     rbar = res.root
-    _, feet, points = place(2.0 * _half_feet(rbar, rot), cls.index, rbar)
     sinh_r = math.sqrt((rbar - 1.0) * (rbar + 1.0))
     return HyperbolicSolution(
         curve_class=cls,
         vertices=columns(n, points[:, 0], sinh_r, points[:, 1]),
         axis_distance=math.acosh(rbar),
-        foot_distances=FootDistances(feet),
+        foot_distances=feet,
         iterations=res.iterations,
     )

@@ -8,16 +8,17 @@ the isometries of the plane (boosts, translations, reflections); this
 module reports the canonical representative on the future branch (x2 > 0)
 with the first vertex at rapidity 0.
 
-The radius solves the same defect function Phi as the hyperbolic hypercycle
-case, with the side lengths themselves playing the role of chords (the
-ambient plane is already flat), over the full interval (0, inf): Phi tends
-to -inf at 0 and is eventually positive.  Rapidity increments
-a_k = 2 arsinh(l_k / 2R) then place the vertices (R sinh t, R cosh t); with
-the dominant side last, a_n = sum of the others.  The placement step is the
-hypercycle's (hyperbolic.place): a vertex's rapidity t is the running sum
-of the increments before it, accumulated in double-double arithmetic in
-O(n) (domain.prefix_sums: a two-sum loop over a short vector, numpy running
-sums over a long one).
+The radius is found by the hypercycle's Phi step (hyperbolic.solve_on_axis),
+with the side lengths themselves playing the role of chords (the ambient
+plane is already flat): the zero of the same defect Phi (phi) on (0, inf),
+where Phi tends to -inf at 0 and is eventually positive, so the bracket may
+halve down to floor 0.  Rapidity increments a_k = 2 arsinh(l_k / 2R) then
+place the vertices (R sinh t, R cosh t); with the dominant side last,
+a_n = sum of the others.  A vertex's rapidity t is the running sum of the
+increments before it, accumulated in double-double arithmetic in O(n)
+(hyperbolic.place).  On a hypercycle's chords the hyperbola is therefore the
+hypercycle bit for bit: radius Rbar = cosh(R), the same foot distances, and
+its vertices are the hypercycle's (x1, x3) columns.
 
 The variational functional phi_ell built from Clh2 has the solved polygon
 as its constrained critical point but is neither concave nor convex, so it
@@ -32,14 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import FootDistances, SideLengths, Vector, dominance
-from .errors import DimensionMismatchError, NearDegenerateError, ReverseInequalityError
-from .hyperbolic import _half_feet, _solve_phi_root, dominant_last, phi, place
+from .errors import DimensionMismatchError, ReverseInequalityError
+from .hyperbolic import phi, solve_on_axis
 from .specfun import clh2
 
 __all__ = [
     "MinkowskiSolution",
     "check_minkowski_feasibility",
     "solve_minkowski",
+    "phi",
     "phi_ell",
 ]
 
@@ -76,31 +78,13 @@ def check_minkowski_feasibility(lengths) -> tuple[int, float]:
 
 def solve_minkowski(lengths) -> MinkowskiSolution:
     """Construct the unique spacetime cyclic polygon with the given sides;
-    raises what check_minkowski_feasibility raises."""
+    raises what check_minkowski_feasibility and solve_on_axis raise."""
     lengths = SideLengths.coerce(lengths)
     dom, _ = check_minkowski_feasibility(lengths)
-    l = lengths.values
-    rot = SideLengths(l[dominant_last(dom, lengths.n)])
-
-    # bracket in (0, inf): Phi ~ (n-2) log x - const near 0, so shrink the
-    # lower end until it is negative, then grow the upper end.  The halving
-    # stops within ~1100 steps, at 0 or where l_dom / 2x passes the float range.
-    lo = 0.5 * float(l[dom])
-    while not (f_lo := phi(lo, rot)) < 0.0:
-        below, lo = lo, 0.5 * lo
-        if lo == 0.0 or math.isinf(float(l[dom]) / (2.0 * lo)):
-            raise NearDegenerateError(
-                f"the radius is below {below:g}, too small for it or its rapidities "
-                "to be represented",
-                index=dom,
-            )
-    res = _solve_phi_root(rot, lo, f_lo)
-    radius = res.root
-
-    _, feet, vertices = place(2.0 * _half_feet(radius, rot), dom, radius)
+    res, feet, vertices = solve_on_axis(lengths, dom, 0.0)
     return MinkowskiSolution(
-        radius=radius,
-        foot_params=FootDistances(feet),
+        radius=res.root,
+        foot_params=feet,
         dominant=dom,
         vertices=vertices,
         iterations=res.iterations,

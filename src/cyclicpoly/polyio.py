@@ -14,9 +14,10 @@ bad report.
 Floats are serialized with 17 significant digits (binary64 round-trip
 exact) in one template pass: one walk builds a %-template with a %.17g field
 per float, and one % fills it.  A float vector or matrix is one block: payloads
-hold the solvers' float64 arrays, and a list of floats or of equal-length float
-lists is read into one; a finite matrix column of one value (the shared height
-of the vertices on a sphere's circle) is formatted once, into the row text.
+hold the solvers' float64 arrays, and a list (a JSON-loaded report) is walked
+item by item into the same text; a finite matrix column of one value (the
+shared height of the vertices on a sphere's circle) is formatted once, into
+the row text.
 Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
@@ -341,12 +342,6 @@ def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
     """Append obj's template text to `out` and its floats to `floats`; `step` is one indent.
     Each float goes in as 0.0 + x: 0.0 + -0.0 is 0.0, and "-0" would reparse as an integer."""
     inner = pad + step
-    if type(obj) is list:  # a float vector, or an equal-width float matrix
-        kinds = set(map(type, obj))
-        if kinds == {list} and len(set(map(len, obj))) == 1:
-            kinds = {type(x) for row in obj for x in row}
-        if kinds == {float}:
-            obj = np.array(obj)
     if isinstance(obj, dict):
         sep = "{\n"
         for k, v in obj.items():

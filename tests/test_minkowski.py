@@ -135,11 +135,12 @@ class TestSolve:
 class TestSharedCore:
     def test_same_root_as_hypercycle_solver(self):
         # where both domains apply, the spacetime radius and the hypercycle
-        # radius are zeros of the identical defect function
+        # radius are the one zero of the identical defect function, found by
+        # the one phi step
         l = [3.0, 3.0, 6.5]
         r_mink = minkowski.solve_minkowski(l).radius
         r_hyp = hyperbolic.solve_hypercycle_radius(l)
-        assert r_mink == pytest.approx(r_hyp, rel=1e-12)
+        assert r_mink == r_hyp
         assert r_mink == pytest.approx(phi_root_bisect(l, 1.0, 8.0), rel=1e-11)
 
 

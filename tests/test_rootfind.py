@@ -199,6 +199,18 @@ class TestEachPointOnce:
         monkeypatch.setattr(euclidean, "_half_angles", recorded_half_angles)
         return points
 
+    @pytest.mark.parametrize(
+        "lengths, budget",
+        [([1e-300, 1e-300, 3e-300], 14), ([1e200, 1e200, 3e200], 15)],
+        ids=["1e-300", "1e200"],
+    )
+    def test_phi_budget_at_extreme_scales(self, monkeypatch, lengths, budget):
+        # the bracket halves from min(lo, l_dom) / 2 and grows from max(2, l_max):
+        # halving from 1 alone would take about 1,000 evaluations at 1e-300
+        points = self._record(monkeypatch)
+        minkowski.solve_minkowski(lengths)
+        assert len(points) <= budget
+
     def test_no_point_evaluated_twice(self, monkeypatch):
         points = self._record(monkeypatch)
         solved = 0
