@@ -205,10 +205,10 @@ def vertices_on_circle(radius: float, angles) -> np.ndarray:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     angles = CentralAngles.coerce(angles)
     # The polar angles hi + lo are double-double prefix sums, and the trig
-    # values of hi are corrected to first order in lo.
+    # values of hi are corrected to first order in lo.  numpy's cos and sin
+    # give math.cos and math.sin bit for bit (a test pins this).
     hi, lo = prefix_sums(angles.values)
-    hi = hi.tolist()
-    c, s = (np.fromiter(map(f, hi), float, lo.size) for f in (math.cos, math.sin))
+    c, s = np.cos(hi), np.sin(hi)
     return columns(lo.size, radius * (c - lo * s), radius * (s + lo * c))
 
 

@@ -17,12 +17,17 @@ per float, and one % fills it.  A float vector or matrix is one block: payloads
 hold the solvers' float64 arrays, and a list (a JSON-loaded report) is walked
 item by item into the same text; a finite matrix column of one value (the
 shared height of the vertices on a sphere's circle) is formatted once, into
-the row text.
+the row text.  A finite block of at least _BLOCK_CUTOFF cells is written by a
+numpy kernel, byte for byte as %.17g writes it (exact digits from Dekker's
+two-product), and goes in through %s fields; smaller blocks, and any block
+holding a NaN or an infinity, keep their %.17g fields, so the final check names
+the first non-finite value in report order.
 Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -338,9 +343,163 @@ def _layout(items: list, pad: str, step: str) -> str:
     return f"[\n{pad}{step}" + f",\n{pad}{step}".join(items) + f"\n{pad}]" if items else "[]"
 
 
-def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
-    """Append obj's template text to `out` and its floats to `floats`; `step` is one indent.
-    Each float goes in as 0.0 + x: 0.0 + -0.0 is 0.0, and "-0" would reparse as an integer."""
+#: a finite block of at least this many cells is written by _format_cells, which
+#: breaks even with % fields near 300 cells; each written column takes a code
+#: byte below "\n" and one bytes.replace pass, so a row holds at most 8
+_BLOCK_CUTOFF, _BLOCK_COLUMNS = 300, 8
+#: cells per _format_cells call: fewer pay more for its fixed numpy calls, more
+#: raise the peak RSS of a large report
+_CHUNK = 2048
+#: a cell's row in _format_cells: its column code, "-0.000" and the first digit
+#: in bytes 0-7, the other 16 digits in 8-23, "%.17g" in 24-28, then "." and
+#: the 17 digits again in 30-47
+_ROW = 48
+#: the row mask of a cell that % writes, after the (sign, exponent, digits) masks
+_SLOW = 2 * 21 * 18
+_POW10 = np.array([float(10**k) for k in range(21)])  # all exact
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Veltkamp's split of a into two halves of at most 26 significant bits."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The lookup tables of _format_cells, built on first use: the ASCII of each
+    4-digit group and its digits left once trailing zeros go, the row masks, the
+    words of bytes 0-7 and 24-31 for each first digit.  A word is only ever a
+    view of bytes, so they hold on either byte order."""
+    i = np.arange(10000, dtype=np.int16)
+    chars = (i[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    groups = chars.view(np.uint32).ravel()
+    kept = (4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0) - (i == 0)).astype(np.int8)
+    masks = np.zeros((_SLOW + 1, _ROW), bool)
+    masks[:, 0] = True
+    masks[_SLOW, 24:29] = True
+    for neg in (0, 1):
+        for x in range(-4, 17):
+            for n in range(1, 18):
+                row = masks[(neg * 21 + x + 4) * 18 + n]
+                row[1] = neg
+                if x < 0:  # "0." and -x - 1 zeros, then the digits
+                    row[2:3 - x] = True
+                    row[7:7 + n] = True
+                else:  # x + 1 digits, then "." and the rest from the second copy
+                    row[7:8 + x] = True
+                    row[30] = n > x + 1
+                    row[32 + x:31 + n] = True
+    heads = b"".join(b"\0-0.000%d%%.17g .%d" % (d, d) for d in range(10))
+    words = np.frombuffer(heads, np.uint64).reshape(10, 2).T.copy()
+    return groups, kept, masks.view(np.uint64), words
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple:
+    """(p, e) with p + e == a * 10**(16 - x) exactly: Dekker's two-product (Numer.
+    Math. 18, 1971), exact since the power is a double and nothing under- or overflows."""
+    s = _POW10[16 - x]
+    p = a * s
+    ah, al = _split(a)
+    sh, sl = _split(s)
+    return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
+
+
+def _digits(v: np.ndarray) -> tuple:
+    """The row mask key, first digit and four 4-digit groups of the "%.17g" text
+    of each finite value of v.
+
+    For 1e-4 <= |x| < 1e17, x * 10**(16 - X) with X = floor(log10|x|) is an exact
+    p + e, whose p is an even integer; p + rint(e) is then the 17-digit integer,
+    rounded half to even as dtoa rounds it (D. M. Gay, 1990).  The other cells,
+    0, |x| < 1e-4 and values that round to 1e17 or more, get the key _SLOW."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, e = _scaled(a, x)
+    # where log10 missed the decade, redo with the one next to it
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        x[redo] += high[redo].astype(np.intp) - low[redo]
+        miss = redo[(x[redo] < -4) | (x[redo] > 16)]
+        fast[miss], x[miss], a[miss] = False, 0, 1.0
+        p[redo], e[redo] = _scaled(a[redo], x[redo])
+    # the 17-digit integer as hi * 1e8 + lo, each part exact in floats
+    hi = np.floor(p * 1e-8)
+    lo = (p - hi * 1e8) + np.rint(e)
+    under, over = lo < 0.0, lo >= 1e8
+    hi += over
+    hi -= under
+    lo += (under * 1.0 - over) * 1e8
+    carry = hi == 1e9  # rounded to 10**17: the next decade
+    x += carry
+    hi[carry] = 1e8
+    fast &= x <= 16
+    d0 = np.floor(hi * 1e-8)
+    hi -= d0 * 1e8
+    g = np.empty((4, v.size))
+    g[0] = np.floor(hi * 1e-4)
+    g[1] = hi - g[0] * 1e4
+    g[2] = np.floor(lo * 1e-4)
+    g[3] = lo - g[2] * 1e4
+    g = g.astype(np.intp)
+    z = _tables()[1].take(g)
+    kept = 1 + z[0]
+    for j in (1, 2, 3):
+        np.copyto(kept, 4 * j + 1 + z[j], where=z[j] > 0)
+    key = ((v < 0.0) * 21 + x + 4) * 18 + np.maximum(kept, x + 1)
+    key[~fast] = _SLOW
+    return key, d0.astype(np.intp), g
+
+
+def _format_cells(v: np.ndarray, codes: np.ndarray, seps: list) -> bytes:
+    """The "%.17g" text of each finite value of v, each after the separator
+    seps[code] of its code.  The digits go from 4-digit tables into a fixed row
+    per cell, and the mask of the cell's key picks the bytes to keep; a cell of
+    key _SLOW keeps a %.17g field that one % fills."""
+    groups, _, masks, words = _tables()
+    key, d0, g = _digits(v)
+    rows = np.empty((v.size, _ROW // 8), np.uint64)
+    rows[:, 0] = words[0].take(d0)
+    rows[:, 3] = words[1].take(d0)
+    digits = groups.take(g).T
+    r32 = rows.view(np.uint32)
+    r32[:, 2:6] = digits
+    r32[:, 8:12] = digits
+    r8 = rows.view(np.uint8)
+    r8[:, 0] = codes
+    text = r8[masks.take(key, axis=0).view(bool)].tobytes()
+    for code, sep in enumerate(seps):  # no separator holds a code byte or a %
+        text = text.replace(bytes((code,)), sep)
+    slow = v[key == _SLOW]
+    return text % tuple(slow.tolist()) if slow.size else text
+
+
+def _block_text(values: np.ndarray, cell: str, pad: str, inner: str) -> list:
+    """The text of a block whose rows print as the template `cell`, its fields
+    filled from the finite row-major `values`, in parts of one chunk each."""
+    head, *within, tail = cell.split("%.17g")
+    seps = [f"{tail},\n{inner}{head}".encode(), *(sep.encode() for sep in within)]
+    parts = []
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        codes = np.arange(start, start + chunk.size) % len(seps)
+        parts.append(_format_cells(chunk, codes, seps).decode("ascii"))
+    # the first cell has no separator
+    parts[0] = f"[\n{inner}{head}" + parts[0][len(seps[0]):]
+    parts[-1] += f"{tail}\n{pad}]"
+    return parts
+
+
+def _emit(obj, out: list, floats: list, blocks: list, pad: str, step: str) -> None:
+    """Append obj's template text to `out` and its floats to `floats`; `step` is one
+    indent.  A block that _block_text writes takes a %s field per part: its parts go
+    to `blocks` with the count of floats before them.  Each float goes in as 0.0 + x:
+    0.0 + -0.0 is 0.0, and "-0" would reparse as an integer."""
     inner = pad + step
     if isinstance(obj, dict):
         sep = "{\n"
@@ -356,7 +515,7 @@ def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
                 out.append(head + encode_basestring_ascii(v).replace("%", "%%"))
             else:
                 out.append(head)
-                _emit(v, out, floats, inner, step)
+                _emit(v, out, floats, blocks, inner, step)
         out.append("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim not in (1, 2):
@@ -370,12 +529,22 @@ def _emit(obj, out: list, floats: list, pad: str, step: str) -> None:
             cells = [cell if j in keep else "%.17g" % (0.0 + x) for j, x in enumerate(first)]
             cell = _layout(cells, inner, step)
             obj = obj.take(keep, axis=1)
-        out.append(_layout([cell] * len(obj), pad, step))
-        floats += (obj + 0.0).ravel().tolist()
+        values = (obj + 0.0).ravel()
+        if (
+            values.size >= _BLOCK_CUTOFF
+            and cell.count("%") <= _BLOCK_COLUMNS
+            and np.isfinite(values).all()
+        ):
+            parts = _block_text(values, cell, pad, inner)
+            out.append("%s" * len(parts))
+            blocks.append((len(floats), parts))
+        else:
+            out.append(_layout([cell] * len(obj), pad, step))
+            floats += values.tolist()
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             out.append(("[\n" if i == 0 else ",\n") + inner)
-            _emit(v, out, floats, inner, step)
+            _emit(v, out, floats, blocks, inner, step)
         out.append("\n" + pad + "]" if obj else "[]")
     elif isinstance(obj, int):  # bool is an int
         out.append("true" if obj is True else "false" if obj is False else str(obj))
@@ -395,11 +564,20 @@ def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
     17-significant-digit floats, newline-terminated."""
     out: list[str] = []
     floats: list = []
-    _emit(report, out, floats, "", " " * indent)
+    blocks: list = []
+    _emit(report, out, floats, blocks, "", " " * indent)
     if not all(map(math.isfinite, floats)):
         bad = next(x for x in floats if not math.isfinite(x))
         raise InvariantViolation(f"non-finite value {bad!r} in report")
     out.append("\n")
+    args = floats
+    if blocks:  # % copies a block's text whole through its %s fields
+        args, start = [], 0
+        for at, parts in blocks:
+            args += floats[start:at]
+            args += parts
+            start = at
+        args += floats[start:]
     # tuple() of a list allocates once; a tuple built from an iterator is
     # resized as it fills, which let peak RSS creep up over many reports
-    return "".join(out) % tuple(floats)
+    return "".join(out) % tuple(args)

@@ -54,17 +54,18 @@ class SphericalSolution:
 
 
 def chord_from_arc(lengths) -> np.ndarray:
-    """The chords 2 sin(l/2), by math.sin, of a side vector of arcs in (0, 2*pi).
-    Raises NearDegenerateError at the first side whose chord rounds to 0, as
-    for l = 5e-324."""
+    """The chords 2 sin(l/2) of a side vector of arcs in (0, 2*pi), by np.sin,
+    which gives math.sin bit for bit (a test pins this).  Raises
+    NearDegenerateError at the first side whose chord rounds to 0, as for
+    l = 5e-324."""
     values = SideLengths.coerce(lengths).values
     if values.max() >= TWO_PI:
         raise DomainError(f"arc length must lie in (0, 2*pi), got {float(values.max())!r}")
-    s = list(map(math.sin, (0.5 * values).tolist()))
-    if min(s) == 0.0:
-        ell = float(values[s.index(0.0)])
+    s = np.sin(0.5 * values)
+    if s.min() == 0.0:
+        ell = float(values[s.argmin()])  # the first zero: no sine here is negative
         raise NearDegenerateError(f"arc length {ell!r} is too short for its chord")
-    return 2.0 * np.array(s)
+    return 2.0 * s
 
 
 def check_spherical_feasibility(lengths) -> tuple[int, float]:

@@ -111,6 +111,15 @@ class TestVertices:
         with pytest.raises(DomainError):
             euclidean.vertices_on_circle(-1.0, [TWO_PI / 3] * 3)
 
+    def test_numpy_sin_and_cos_are_math_sin_and_cos(self):
+        # vertices_on_circle and spherical.chord_from_arc call numpy's sin and
+        # cos where math's would do: a numpy whose values differ in the last
+        # bit would change every report
+        angles = np.random.default_rng(0).uniform(0.0, TWO_PI, 100_000)
+        listed = angles.tolist()
+        assert np.sin(angles).tolist() == list(map(math.sin, listed))
+        assert np.cos(angles).tolist() == list(map(math.cos, listed))
+
 
 class TestArea:
     def test_unit_square(self):
