@@ -19,21 +19,26 @@ ANGLE_SUM_TOL = 1e-12
 FSUM_CUTOFF, PREFIX_CUTOFF = 700, 80
 
 
-def fsum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()) of a 1-d float array, bit for bit, raising what it raises.
+def fsum(x: np.ndarray, *more: float) -> float:
+    """math.fsum of the entries of a 1-d float array and then ``more``, bit for
+    bit, raising what it raises.
 
     From FSUM_CUTOFF entries, up to three error-free extraction passes (Rump, Ogita
     and Oishi, SIAM J. Sci. Comput. 31, 2008) split off parts q = (sigma + x) - sigma,
     sigma = 2**(e + bit_length(n + 2)) with max|x| < 2**e, which numpy sums exactly in
-    any order; math.fsum rounds the part sums and the nonzero remainders once.  A NaN,
-    an infinity or a zero maximum, or a sigma past 2**1023, goes to math.fsum as is.
+    any order; math.fsum rounds the part sums, the nonzero remainders and ``more``
+    once.  A NaN, an infinity or a zero maximum, or a sigma past 2**1023, goes to
+    math.fsum as is.
     """
     if x.size < FSUM_CUTOFF:
-        return math.fsum(x.tolist())
+        terms = x.tolist()
+        if more:
+            terms.extend(more)
+        return math.fsum(terms)
     shift = (x.size + 2).bit_length()
     m = float(np.abs(x).max())
     if not 0.0 < m < math.ldexp(1.0, 1023 - shift):
-        return math.fsum(x.tolist())
+        return math.fsum([*x.tolist(), *more])
     parts = []
     for _ in range(3):
         sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
@@ -43,7 +48,9 @@ def fsum(x: np.ndarray) -> float:
         m = float(np.abs(x).max())
         if m == 0.0:
             break
-    return math.fsum(parts + x[x != 0.0].tolist())
+    parts.extend(x[x != 0.0].tolist())
+    parts.extend(more)
+    return math.fsum(parts)
 
 
 def excess(v: np.ndarray, m: int) -> float:
@@ -51,7 +58,7 @@ def excess(v: np.ndarray, m: int) -> float:
     if v.size < FSUM_CUTOFF:
         rest = v.tolist()
         return rest.pop(m) - math.fsum(rest)
-    return float(v[m]) - fsum(np.delete(v, m))
+    return float(v[m]) - fsum(v[:-1] if m in (-1, v.size - 1) else np.delete(v, m))
 
 
 def prefix_sums(marks) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,14 @@ split on the position of the circumcenter:
 The split is decided at the smallest admissible radius R0 = l_max/2 by
 comparing sum_{k != m} arcsin(l_k / l_m) with pi/2.  Each branch is solved
 by safeguarded Newton (rootfind.bisect_newton) in t = sqrt(R - R0), where
-the equation has no square-root singularity.  A polygon exists iff every
-side is strictly shorter than the sum of the others, and it is unique.
+the equation has no square-root singularity, on a bracket of closed-form
+bounds (radius_bounds): inside, R lies in [max(P/2pi, R0), P/4] for the
+perimeter P, by arcsin x >= x and Jordan's arcsin x <= pi x/2; outside, in
+[R0, l_max / 2y], where y solves arcsin(y)/y = (sum of the others)/l_max,
+the equation with the other sides linearized.  Newton starts at the end
+whose defect is smaller, which on large polygons is P/2pi, within a few
+millionths of the root.  A polygon exists iff every side is strictly
+shorter than the sum of the others, and it is unique.
 """
 
 from __future__ import annotations
@@ -27,18 +33,16 @@ import numpy as np
 from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, fsum, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
+from .specfun import sin_ratio_inverse
 
 __all__ = [
     "EuclideanSolution",
     "check_polygon_inequalities",
+    "radius_bounds",
     "solve_euclidean",
     "vertices_on_circle",
     "polygon_area",
 ]
-
-#: R may not exceed this multiple of the longest side (beyond it the input
-#: is degenerate to working precision)
-_MAX_RADIUS_FACTOR = 1e15
 
 #: bound on the relative rounding error of each computed half angle; a
 #: defect value below this times the sum of the half angles has no sign
@@ -93,13 +97,28 @@ def _half_angles(t: float, r0: float, gap: np.ndarray, half: np.ndarray):
     return radius, q, np.arctan2(half, q)
 
 
+def radius_bounds(lm: float, rest: float, center_inside: bool) -> tuple[float, float]:
+    """Closed-form bounds R_lo <= R <= R_hi on the circumradius, from the
+    longest side lm and the sum of the others, rest.
+
+    Inside, arcsin x >= x puts R at or above P/2pi (P = lm + rest), and
+    Jordan's arcsin x <= pi x/2 at or below P/4; R_lo is at least lm/2.
+    Outside, R_lo = lm/2, and the defect is at least its value with the other
+    sides linearized, which is positive from R_hi = lm / 2 sin(theta) on,
+    where theta / sin(theta) = rest / lm.
+    """
+    if center_inside:
+        return max((lm + rest) / TWO_PI, 0.5 * lm), 0.25 * (lm + rest)
+    return 0.5 * lm, 0.5 * lm / math.sin(sin_ratio_inverse(rest, lm))
+
+
 def solve_euclidean(lengths) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
     Raises NoPolygonError when the polygon inequalities fail, and
-    NearDegenerateError when they hold by so little that no radius up to
-    1e15 times the longest side changes the sign of the defect by more
-    than its rounding error, or when a side's central angle underflows to 0.
+    NearDegenerateError when they hold by so little that the defect at a
+    closed-form bound on the radius is within its rounding error of 0, or
+    when a side's central angle underflows to 0.
     """
     lengths = SideLengths.coerce(lengths)
     m, _ = check_polygon_inequalities(lengths)
@@ -125,49 +144,56 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     if not center_inside:
         sign[m] = -1.0
     sign_half = sign * half
-    target = math.pi if center_inside else 0.0
 
-    memo = {}  # the last two t: f' follows f at its t; only the t before last is revisited
+    # the last three t: f' follows f at its t, and the root returned is the
+    # last t, the one before it, or a bracket end where the solve started
+    memo = {}
 
     def half_angles(t: float):
         if t not in memo:
-            if len(memo) == 2:
+            if len(memo) == 3:
                 del memo[next(iter(memo))]
             memo[t] = _half_angles(t, r0, gap, half)
         return memo[t]
 
     def f(t: float) -> float:
         a = half_angles(t)[2]
-        return fsum(a if center_inside else sign * a) - target
+        # inside, the sum of the half angles less math.pi is rounded once: the
+        # sum rounded on its own would step by ulp(pi) near the root
+        return fsum(a, -math.pi) if center_inside else fsum(sign * a)
 
     def dfdx(t: float) -> float:
         if t * t == 0.0:
-            return math.nan  # q_m = 0 at R = R0: no Newton step from there
+            # q = 0 for the sides as long as the longest (and where t^2
+            # underflows): each contributes its limit sqrt(2/R0) to -f'
+            return -math.sqrt(2.0 / r0) * float(sign[m] * np.count_nonzero(gap == 0.0))
         radius, q, _ = half_angles(t)
         return -2.0 * t / radius * fsum(sign_half / q)
 
-    # bracket: f(0) >= 0 > f(inf) on the inside branch, f(0) < 0 < f(inf)
-    # on the outside branch; grow the upper end until the sign flips by more
-    # than the rounding error of the half angles
-    f0 = f(0.0)
-    t = 0.0
+    # The bracket ends are radius_bounds.  At R0 (t = 0) f is h0 - pi/2 on
+    # either branch, since the longest side's half angle there is pi/2.
+    r_lo, r_hi = radius_bounds(lm, fsum(l, -lm), center_inside)
+    t = t_lo = math.sqrt(r_lo - r0)
+    f_lo = f(t_lo) if t_lo > 0.0 else h0 - 0.5 * math.pi
     iterations = 0
-    if f0 != 0.0:
-        hi = math.sqrt(r0)
-        while True:
-            fhi = f(hi)
-            if (fhi > 0.0) != (f0 > 0.0) and abs(fhi) > _ANGLE_REL_NOISE * (
-                fsum(half_angles(hi)[2]) + target
-            ):
-                break
-            hi *= 2.0
-            if r0 + hi * hi > _MAX_RADIUS_FACTOR * lm:
-                raise NearDegenerateError(
-                    "circumradius exceeds 1e15 times the longest side; the input "
-                    "is degenerate to working precision",
-                    index=m,
-                )
-        res = bisect_newton(f, 0.0, hi, dfdx=dfdx, f_lo=f0, f_hi=fhi)
+    if f_lo != 0.0:
+        t_hi = math.sqrt(r_hi - r0)
+        f_hi = f(t_hi)
+        # each bound has its sign in exact arithmetic; where rounding takes it,
+        # or the upper one lies within the rounding of the half angles (their
+        # sum, plus pi inside, is f_hi + 2 pi inside and f_hi + 2 a_m outside),
+        # the root cannot be resolved
+        noise = _ANGLE_REL_NOISE * (
+            f_hi + 2.0 * (math.pi if center_inside else float(half_angles(t_hi)[2][m]))
+        )
+        if (f_lo < 0.0) != (f_hi > 0.0) or abs(f_hi) <= noise:
+            raise NearDegenerateError(
+                f"the defect at a bound of the circumradius bracket [{math.ldexp(r_lo, scale):g}, "
+                f"{math.ldexp(r_hi, scale):g}] is within rounding of 0; the input is "
+                "degenerate to working precision",
+                index=m,
+            )
+        res = bisect_newton(f, t_lo, t_hi, dfdx=dfdx, f_lo=f_lo, f_hi=f_hi)
         t = res.root
         iterations = res.iterations
 

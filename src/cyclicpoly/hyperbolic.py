@@ -27,10 +27,14 @@ Constructions, one per class:
 
   found by safeguarded Newton to 1e-12 relative (Phi(1) is half the
   negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
-  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar) then mark the vertex feet
-  along the axis geodesic, and vertices are
-  (Rbar sinh t, sinh R, Rbar cosh t).  This Phi step, bracket from x = 1,
-  root and placement, is solve_on_axis; minkowski's hyperbola takes it too.
+  The bracket is [1, axis_bound]: as arsinh y <= y, Phi is positive from the
+  x at which it is with the other chords linearized on, a closed form in the
+  dominant chord and the sum of the others, and Newton starts at the end
+  where |Phi| is smaller.  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar)
+  then mark the vertex feet along the axis geodesic, and vertices are
+  (Rbar sinh t, sinh R, Rbar cosh t).  This Phi step, bracket, root and
+  placement, is solve_on_axis; minkowski's hyperbola takes it too, halving
+  the lower end below 1 where its radius is smaller.
 
 Placement conventions (a choice, fixed for reproducibility): the circle is
 centered on (0, 0, 1) with the first vertex in the x1 x3-plane; horocycle
@@ -48,6 +52,7 @@ NearDegenerateError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +63,7 @@ from .domain import fsum, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
 from .euclidean import check_polygon_inequalities, solve_euclidean
 from .rootfind import bisect_newton
+from .specfun import sinh_ratio_inverse
 
 __all__ = [
     "CIRCLE",
@@ -66,6 +72,7 @@ __all__ = [
     "HypCurveClass",
     "FootDistances",
     "HyperbolicSolution",
+    "axis_bound",
     "hyp_chord",
     "classify",
     "phi",
@@ -175,9 +182,16 @@ def _half_feet(x: float, chords) -> np.ndarray:
     return np.arcsinh(c / (2.0 * x) if x <= _HALF_MAX else 0.5 * c / x)
 
 
+@functools.lru_cache(maxsize=2)
+def _shared_feet(chords: SideLengths, x: float) -> np.ndarray:
+    # the half feet at the last two (chords, x), chords by identity: phi_prime,
+    # and the placement, reuse the arsinh pass of the phi a root solve just took
+    return _half_feet(x, chords)
+
+
 def phi(x: float, chords) -> float:
     """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last."""
-    return excess(_half_feet(x, chords), -1)
+    return excess(_shared_feet(SideLengths.coerce(chords), float(x)), -1)
 
 
 def phi_prime(x: float, chords) -> float:
@@ -186,8 +200,9 @@ def phi_prime(x: float, chords) -> float:
     Positive at any zero of phi (tanh is strictly subadditive), which is
     what makes the zero unique.
     """
+    feet = _shared_feet(SideLengths.coerce(chords), float(x))
     # 0.0 - e, not -e: +0.0 where the two sides agree, as their difference is
-    return (0.0 - excess(np.tanh(_half_feet(x, chords)), -1)) / float(x)
+    return (0.0 - excess(np.tanh(feet), -1)) / float(x)
 
 
 def dominant_last(dom: int, n: int) -> np.ndarray:
@@ -228,45 +243,68 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     return t, marks, points
 
 
+def axis_bound(c_dom: float, rest: float) -> float:
+    """A closed-form upper bound on the zero of phi, from the dominant chord
+    c_dom and the sum of the others, rest.
+
+    As arsinh y <= y, Phi(x) is at least its value with the other chords
+    linearized, which is positive from x = c_dom / 2Y on, where
+    arsinh(Y) / Y = rest / c_dom.  With Y = sinh u that x is rest / 2u, where
+    sinh(u) / u = c_dom / rest.
+    """
+    return rest / (2.0 * sinh_ratio_inverse(c_dom, rest))
+
+
 def solve_on_axis(chords, dom: int, floor: float):
     """The Phi step of the hypercycle and the Minkowski hyperbola: the zero x
     of phi on ``chords`` (caller order, dominant side ``dom`` rotated last),
     then place's points x (sinh t, cosh t) at the marks 2 arsinh(c_k / 2x).
     Returns (rootfind.RootResult, FootDistances, points), both in caller order.
 
-    The bracket starts at lo = 1.  While Phi(lo) >= 0, the last lower end and
-    its Phi become the upper end and lo moves to min(lo, c_dom) / 2; where lo
-    never moves, the upper end is max(2, c_max), doubled until Phi > 0.
-    Raises NearDegenerateError (``index`` dom) where Phi(lo) >= 0 at
-    lo <= floor, as at x = 1 for a hypercycle within rounding of its axis, or
-    where the next lo would be 0 or put c_dom / 2lo past the float range.
+    The upper end is axis_bound.  The lower end starts at 1; while
+    Phi(lo) >= 0, or lo is not below the upper end, lo becomes the upper end
+    (Phi at the bound is then never taken) and is halved.  Raises
+    NearDegenerateError (``index`` dom) where Phi at the bound is not positive,
+    where lo <= floor must move, as at x = 1 for a hypercycle within rounding
+    of its axis, or where c_dom / 2x passes the float range at either end.
     """
     rot = SideLengths(chords[dominant_last(dom, len(chords))])  # checked once
-    c_dom, lo, hi = float(chords[dom]), 1.0, None
-    while not (f_lo := phi(lo, rot)) < 0.0:
-        hi, f_hi, lo = lo, f_lo, 0.5 * min(lo, c_dom)
-        if hi <= floor or lo == 0.0 or math.isinf(c_dom / (2.0 * lo)):
+    c_dom = float(chords[dom])
+
+    def refuse_below(x: float) -> None:
+        # c_dom / 2x, and so Phi near x, passes the float range
+        if x == 0.0 or math.isinf(c_dom / (2.0 * x)):
             raise NearDegenerateError(
-                f"the hypercycle lies within rounding of its axis (Phi(1) = {f_hi:g}): "
-                "its distance from the axis cannot be resolved"
-                if floor
-                else f"the radius is below {hi:g}, too small for it or its rapidities "
+                f"the radius is at most {hi:g}, too small for it or its rapidities "
                 "to be represented",
                 index=dom,
             )
-    if hi is None:
-        hi = max(2.0, c_dom)
-        for _ in range(400):
-            if (f_hi := phi(hi, rot)) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise InvariantViolation("could not bracket the phi root; chords do not dominate")
+
+    hi = axis_bound(c_dom, fsum(rot.values[:-1]))
+    refuse_below(hi)
+    lo, f_hi = 1.0, None
+    while lo >= hi or not (f_lo := phi(lo, rot)) < 0.0:
+        if lo <= floor:
+            raise NearDegenerateError(
+                "the hypercycle lies within rounding of its axis: its distance from "
+                "the axis cannot be resolved",
+                index=dom,
+            )
+        if lo < hi:
+            hi, f_hi = lo, f_lo
+        lo = 0.5 * min(lo, c_dom)
+        refuse_below(lo)
+    if f_hi is None and not (f_hi := phi(hi, rot)) > 0.0:
+        raise NearDegenerateError(
+            f"Phi at the radius bound {hi:g} is not positive: the input is "
+            "degenerate to working precision",
+            index=dom,
+        )
     res = bisect_newton(
         lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),
         rel_tol=_PHI_REL_TOL, f_lo=f_lo, f_hi=f_hi,
     )
-    _, feet, points = place(2.0 * _half_feet(res.root, rot), dom, res.root)
+    _, feet, points = place(2.0 * _shared_feet(rot, res.root), dom, res.root)
     return res, FootDistances(feet), points
 
 

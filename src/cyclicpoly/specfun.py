@@ -9,7 +9,9 @@ its hyperbolic analogue
     Clh2(x) = -integral_0^x log|2 sinh(t/2)| dt,
 
 Milnor's Lobachevsky function Cl2(2x)/2, and the Kullback-Leibler
-divergence between discrete distributions.
+divergence between discrete distributions.  It also inverts x / sin(x) on
+(0, pi/2] and sinh(x) / x on (0, inf), the ratios whose levels bound the
+radius roots of the chordal solvers in closed form.
 
 Cl2 is evaluated by reducing the argument mod 2*pi to (-pi, pi] and summing
 the log-corrected series
@@ -42,6 +44,8 @@ __all__ = [
     "clh2_via_dilog",
     "ProbDist",
     "kl_divergence",
+    "sin_ratio_inverse",
+    "sinh_ratio_inverse",
 ]
 
 _PI_SQ_6 = math.pi * math.pi / 6.0
@@ -82,6 +86,14 @@ _CL2_COEFFS = (
     0.00058445353594389246258,
     0.00054644808743169398955,
 )
+
+
+#: 1/(2k+1)!, k = 13..1: with them the series of sinh(x) - x and x - sin(x)
+#: is exact to rounding below x = 5/2, where the differences lose digits
+_ODD_TAIL = tuple(1.0 / math.factorial(2 * k + 1) for k in range(13, 0, -1))
+
+#: Newton steps of the ratio inverses; from their starts a few suffice
+_RATIO_STEPS = 40
 
 
 def _require_finite(x, name: str = "x") -> float:
@@ -226,3 +238,70 @@ def kl_divergence(p, q) -> float:
             )
         terms.append(pk * math.log(pk / qk))
     return math.fsum(terms)
+
+
+def _odd_tail(x: float, hyperbolic: bool) -> float:
+    """sinh(x) - x (hyperbolic) or x - sin(x), for x >= 0, to a few ulps: from
+    the series x^3/3! +- x^5/5! + ... below 5/2, directly above."""
+    if x >= 2.5:
+        return math.sinh(x) - x if hyperbolic else x - math.sin(x)
+    z = x * x if hyperbolic else -x * x
+    acc = 0.0
+    for c in _ODD_TAIL:
+        acc = acc * z + c
+    return acc * x * x * x
+
+
+def _newton_from_above(x: float, step) -> float:
+    # a convex function increasing past its root, from a start above it: the
+    # steps shrink monotonically, quadratically once small
+    for _ in range(_RATIO_STEPS):
+        dx = step(x)
+        if not dx > 0.0:  # at the root, or past it by rounding
+            break
+        x -= dx
+        if dx <= 1e-9 * x:  # the next step would be below rounding
+            break
+    return x
+
+
+def sin_ratio_inverse(a: float, b: float) -> float:
+    """The x in (0, pi/2] with x / sin(x) = a / b, for positive b < a <= b pi/2
+    (pi/2 where rounding puts a / b past pi/2), to a few ulps.
+
+    Newton from above on (x - sin x) - s sin x, s = (a - b) / b, which is
+    convex and increasing from its root on.  The start solves the first two
+    terms of x / sin x - 1 = x^2/6 + 7x^4/360 + ... = s, whose terms are all
+    positive, so it lies above the root.
+    """
+    s = (a - b) / b
+    x = min(math.sqrt(12.0 * s / (1.0 + math.sqrt(1.0 + 2.8 * s))), 0.5 * math.pi)
+    return _newton_from_above(
+        x,
+        lambda x: (_odd_tail(x, False) - s * math.sin(x))
+        / (2.0 * math.sin(0.5 * x) ** 2 - s * math.cos(x)),
+    )
+
+
+def sinh_ratio_inverse(a: float, b: float) -> float:
+    """The x > 0 with sinh(x) / x = a / b, for positive b < a, to a few ulps.
+
+    Newton from above.  Where s = (a - b) / b is at most 1 (x below 2.18), on
+    (sinh x - x) - s x, started at the root of x^2/6 + x^4/120 = s as in
+    sin_ratio_inverse.  Above, on log(sinh(x) / x) - log(a / b), whose
+    logarithms never overflow, started at 2 (log(a / b) + 1), where it is
+    positive.
+    """
+    s = (a - b) / b
+    if s <= 1.0:
+        x = math.sqrt(12.0 * s / (1.0 + math.sqrt(1.0 + 1.2 * s)))
+        return _newton_from_above(
+            x, lambda x: (_odd_tail(x, True) - s * x) / (2.0 * math.sinh(0.5 * x) ** 2 - s)
+        )
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    level = math.log(ma / mb) + (ea - eb) * _LN2  # log(a / b), where a / b overflows
+    return _newton_from_above(
+        2.0 * (level + 1.0),
+        lambda x: (x - _LN2 + math.log1p(-math.exp(-2.0 * x)) - math.log(x) - level)
+        / (1.0 / math.tanh(x) - 1.0 / x),
+    )

@@ -111,3 +111,34 @@ def strict_lengths(rng, n: int, low: float, high: float, log_uniform: bool = Fal
         m = int(np.argmax(l))
         if l[m] < math.fsum(np.delete(l, m).tolist()):
             return l
+
+
+def workload_request(curve: str, n: int, rng) -> dict:
+    """One n-gon request in a curve class, built as the large-n workload builds it:
+    the n quantiles of the log-uniform law on [0.25, 1] in a random order,
+    rescaled to perimeter 10 (spherical: pi), one chord or side then made dominant.
+    ``curve`` is a geometry, or hyperbolic-circle, -horocycle or -hypercycle."""
+    quantiles = np.exp(math.log(0.25) * (1.0 - (np.arange(n) + 0.5) / n))
+    l = rng.permutation(quantiles)
+    l *= (math.pi if curve == "spherical" else 10.0) / math.fsum(l.tolist())
+    k = int(rng.integers(n))
+    if curve in ("hyperbolic-horocycle", "hyperbolic-hypercycle"):
+        chords = 2.0 * np.sinh(0.5 * l)
+        chords[k] = 0.0
+        excess = 1.0 if curve == "hyperbolic-horocycle" else 1.25
+        l[k] = 2.0 * math.asinh(0.5 * math.fsum(chords.tolist()) * excess)
+    elif curve == "minkowski":
+        l[k] = 0.0
+        l[k] = math.fsum(l.tolist()) * 1.25
+    return {"geometry": curve.split("-")[0], "lengths": l.tolist()}
+
+
+def triangle_radius(l) -> float:
+    """abc / sqrt(|p|) with Kahan's product p = (a+(b+c))(c-(a-b))(c+(a-b))(a+(b-c)),
+    a >= b >= c: the circumradius of a triangle (p > 0), or the radius of the
+    hyperbola through a spacetime triangle, and the zero of Phi on hypercycle
+    chords (p < 0).  W. Kahan, "Miscalculating Area and Angles of a
+    Needle-like Triangle" (2014)."""
+    a, b, c = sorted((float(x) for x in l), reverse=True)
+    p = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    return a * b * c / math.sqrt(abs(p))

@@ -18,6 +18,7 @@ from cyclicpoly.domain import (
     FootDistances,
     SideLengths,
     dominance,
+    excess,
     fsum,
     mean,
     prefix_sums,
@@ -184,6 +185,30 @@ class TestFsum:
         for x in ([-0.0] * FSUM_CUTOFF, [1.0, -1.0] * FSUM_CUTOFF, [0.0] * FSUM_CUTOFF):
             x = np.array(x)
             assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @given(st.lists(any_finite, min_size=1, max_size=40), st.lists(any_finite, max_size=3))
+    @example([math.pi / 2, math.pi / 2, 2.0**-60], [-math.pi])
+    @settings(max_examples=200, deadline=None)
+    def test_more_terms_are_summed_after_the_array(self, values, more):
+        # the inside defect's sum less math.pi, rounded once
+        x = np.array(values, dtype=float)
+
+        def total(x):
+            return math.fsum(x.tolist() + more)
+
+        assert _fsum_outcome(lambda x: fsum(x, *more), x) == _fsum_outcome(total, x)
+        with mock.patch.object(domain, "FSUM_CUTOFF", 0):
+            assert _fsum_outcome(lambda x: fsum(x, *more), x) == _fsum_outcome(total, x)
+
+
+class TestExcess:
+    @pytest.mark.parametrize("n", [5, FSUM_CUTOFF, 1500])
+    def test_entry_less_the_fsum_of_the_rest(self, n):
+        # the dominant entry last reads v[:-1], any other position drops it
+        v = np.random.default_rng(n).uniform(0.25, 4.0, n)
+        for m in (-1, n - 1, 0, n // 2):
+            rest = np.delete(v, m).tolist()
+            assert excess(v, m).hex() == (v[m] - math.fsum(rest)).hex()
 
 
 class TestMean:

@@ -14,7 +14,7 @@ import pytest
 from cyclicpoly import cli, polyio
 from cyclicpoly.errors import InfeasibleError, InvariantViolation
 
-from oracles import strict_lengths
+from oracles import strict_lengths, workload_request
 
 HOROCYCLE_L3 = 2 * math.asinh(2 * math.sinh(0.5))
 
@@ -351,28 +351,9 @@ SMALL_REQUESTS = {
 }
 
 
-def _workload_request(curve: str, n: int, rng) -> dict:
-    """One n-gon request in a curve class, built as the large-n workload builds it:
-    the n quantiles of the log-uniform law on [0.25, 1] in a random order,
-    rescaled to perimeter 10 (spherical: pi), one chord or side then made dominant."""
-    quantiles = np.exp(math.log(0.25) * (1.0 - (np.arange(n) + 0.5) / n))
-    l = rng.permutation(quantiles)
-    l *= (math.pi if curve == "spherical" else 10.0) / math.fsum(l.tolist())
-    k = int(rng.integers(n))
-    if curve in ("hyperbolic-horocycle", "hyperbolic-hypercycle"):
-        chords = 2.0 * np.sinh(0.5 * l)
-        chords[k] = 0.0
-        excess = 1.0 if curve == "hyperbolic-horocycle" else 1.25
-        l[k] = 2.0 * math.asinh(0.5 * math.fsum(chords.tolist()) * excess)
-    elif curve == "minkowski":
-        l[k] = 0.0
-        l[k] = math.fsum(l.tolist()) * 1.25
-    return {"geometry": curve.split("-")[0], "lengths": l.tolist()}
-
-
 #: blocks above polyio._BLOCK_CUTOFF: the kernel writes the arrays, % the lists read back
 WORKLOAD_REQUESTS = {
-    f"{curve}-workload-n2000": _workload_request(curve, 2000, np.random.default_rng(i))
+    f"{curve}-workload-n2000": workload_request(curve, 2000, np.random.default_rng(i))
     for i, curve in enumerate(LARGE_CURVES)
 }
 ROUND_TRIP_REQUESTS = {
@@ -707,6 +688,17 @@ class TestBlockKernel:
         text = polyio.dumps_report({"m": m, "k": 0.5}, indent=indent)
         assert written == [800]
         assert text == _oracle_dumps({"m": m.tolist(), "k": 0.5}, indent)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e17, 1e300])
+    def test_chunk_without_kernel_cells_is_percent_fields(self, scale, monkeypatch):
+        # 0, |x| < 1e-4 and |x| >= 1e17 are % fields in any chunk; a chunk of
+        # them alone is written by % without the kernel's numpy pass
+        rng = np.random.default_rng(7)
+        v = rng.choice([-scale, scale], 8000) * rng.uniform(1.0, 10.0, 8000)
+        v[::97] = 0.0
+        monkeypatch.setattr(polyio, "_digits", None)  # any kernel pass fails
+        text = polyio.dumps_report({"v": v, "m": v.reshape(-1, 2)})
+        assert text == _oracle_dumps({"v": v.tolist(), "m": v.reshape(-1, 2).tolist()})
 
     def test_non_finite_block_names_the_first_non_finite_value(self):
         m = np.ones((400, 2))

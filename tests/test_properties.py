@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical, variational
-from cyclicpoly.domain import FSUM_CUTOFF
+from cyclicpoly.domain import FSUM_CUTOFF, dominance
 from cyclicpoly.errors import InfeasibleError, NoPolygonError
+from oracles import euclidean_radius_bisect, phi_root_bisect, triangle_radius
 
 finite_angles = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 small_positive = st.floats(min_value=1e-3, max_value=5.0)
@@ -304,3 +306,111 @@ def test_spacetime_polygon_on_hypercycle_chords_is_the_hypercycle(hypercycle):
     assert spacetime.radius == pytest.approx(math.cosh(hyp.axis_distance), rel=1e-14, abs=0)
     assert spacetime.foot_params.values.tobytes() == hyp.foot_distances.values.tobytes()
     assert spacetime.vertices.tobytes() == hyp.vertices[:, [0, 2]].tobytes()
+
+
+EPS = sys.float_info.epsilon
+
+
+# a triangle of sides b, c log-uniform on [0.1, 10] and a third side 10**u of
+# the way, u uniform on [-3, 0), from b + c towards |b - c| (Euclidean) or
+# (b + c)(1 + 10**u) (spacetime, and hypercycle chords)
+@st.composite
+def triangles(draw, euclidean_plane: bool):
+    log_side = st.floats(min_value=math.log(0.1), max_value=math.log(10.0))
+    b, c = math.exp(draw(log_side)), math.exp(draw(log_side))
+    step = 10.0 ** draw(st.floats(min_value=-3.0, max_value=0.0, exclude_max=True))
+    a = (b + c) - 2.0 * min(b, c) * step if euclidean_plane else (b + c) * (1.0 + step)
+    assume(a > 0.0)  # b = c and a step that rounds to 1
+    return np.array([a, b, c])
+
+
+def _assert_triangle_radius(radius: float, sides: np.ndarray) -> None:
+    # the condition of the radius in the sides is about perimeter / |margin|
+    _, margin = dominance(sides)
+    unit = 8.0 * EPS * max(1.0, math.fsum(sides.tolist()) / abs(margin))
+    assert abs(radius / triangle_radius(sides) - 1.0) <= unit, sides.tolist()
+
+
+@given(triangles(True))
+@settings(max_examples=300, deadline=None)
+def test_euclidean_triangle_radius_is_closed_form(sides):
+    try:
+        radius = euclidean.solve_euclidean(sides).radius
+    except InfeasibleError:  # flat, or flat within rounding, near |b - c|
+        assume(False)
+    _assert_triangle_radius(radius, sides)
+
+
+@given(triangles(False))
+@settings(max_examples=300, deadline=None)
+def test_spacetime_triangle_radius_is_closed_form(sides):
+    _assert_triangle_radius(minkowski.solve_minkowski(sides).radius, sides)
+
+
+@given(triangles(False))
+@settings(max_examples=300, deadline=None)
+def test_hypercycle_triangle_root_is_closed_form(chords):
+    # the hyperbolic triangle whose chords these are, then the solver's own chords
+    try:
+        cls = hyperbolic.classify(2.0 * np.arcsinh(0.5 * chords))
+    except NoPolygonError:
+        assume(False)
+    assume(cls.kind == hyperbolic.HYPERCYCLE)
+    root = hyperbolic.solve_hypercycle_radius(cls.chords[hyperbolic.dominant_last(cls.index, 3)])
+    _assert_triangle_radius(root, cls.chords)
+
+
+# polygons of the small-request envelope, with one side then set to f times the
+# sum of the others for f in [0.3, 0.999]: the center falls outside in about
+# half of them
+@st.composite
+def polygons(draw):
+    _, l = draw(small_requests(("euclidean",)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=l.size - 1))
+        l[k] = draw(st.floats(min_value=0.3, max_value=0.999)) * math.fsum(np.delete(l, k).tolist())
+    return l
+
+
+@given(polygons())
+# the center outside, past a side beside 101 short ones: the upper bound is
+# within 5e-5 of the root
+@example(np.array([1.0] + [0.01] * 101))
+@settings(max_examples=200, deadline=None)
+def test_radius_bounds_bracket_the_root(l):
+    m = int(np.argmax(l))
+    others = np.delete(l, m)
+    rest = math.fsum(others.tolist())
+    assume(l[m] < rest)
+    inside = math.fsum(np.arcsin(others / l[m]).tolist()) >= 0.5 * math.pi
+    lo, hi = euclidean.radius_bounds(float(l[m]), rest, inside)
+    assert lo <= euclidean_radius_bisect(l) <= hi
+
+
+@given(small_hypercycles())
+@settings(max_examples=100, deadline=None)
+def test_axis_bound_brackets_the_hypercycle_root(hypercycle):
+    _, cls = hypercycle
+    rot = cls.chords[hyperbolic.dominant_last(cls.index, cls.chords.size)]
+    bound = hyperbolic.axis_bound(float(rot[-1]), math.fsum(rot[:-1].tolist()))
+    assert 1.0 < phi_root_bisect(rot, 1.0, 2.0) <= bound
+
+
+# spacetime polygons of the small-request envelope: one side f times the sum of
+# the others, f log-uniform on [1.001, 1.5]
+@st.composite
+def spacetime_polygons(draw):
+    _, l = draw(small_requests(("euclidean",)))
+    k = draw(st.integers(min_value=0, max_value=l.size - 1))
+    f = math.exp(draw(st.floats(min_value=math.log(1.001), max_value=math.log(1.5))))
+    l[k] = f * math.fsum(np.delete(l, k).tolist())
+    return l
+
+
+@given(spacetime_polygons())
+@settings(max_examples=100, deadline=None)
+def test_axis_bound_brackets_the_hyperbola_radius(l):
+    dom = int(np.argmax(l))
+    rot = l[hyperbolic.dominant_last(dom, l.size)]
+    bound = hyperbolic.axis_bound(float(rot[-1]), math.fsum(rot[:-1].tolist()))
+    assert phi_root_bisect(rot, 1e-3 * bound, bound) <= bound

@@ -9,6 +9,7 @@ import pytest
 from cyclicpoly import euclidean, hyperbolic, minkowski, polyio, spherical
 from cyclicpoly.errors import CyclicPolyError, InfeasibleError, InvariantViolation
 from cyclicpoly.rootfind import bisect_newton
+from oracles import workload_request
 
 GEOMETRIES = ("euclidean", "spherical", "hyperbolic", "minkowski")
 
@@ -148,6 +149,19 @@ class TestBracketContract:
         assert res.root == pytest.approx(0.3, rel=1e-13)
         assert res.iterations <= 100  # pure Newton inside the bracket takes 140
 
+    @pytest.mark.parametrize("f_hi, root", [(3.0, 1.0), (0.5, math.nextafter(1.0, 2.0))])
+    def test_polish_onto_a_bracket_end_reads_its_value(self, f_hi, root):
+        # adjacent floats: the Newton step from lo lands on hi, whose f is known
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - lo
+
+        res = bisect_newton(f, lo, hi, dfdx=lambda x: 1.0 / (hi - lo), f_lo=-1.0, f_hi=f_hi)
+        assert (res.root, res.iterations, calls) == (root, 0, [])
+
     @pytest.mark.parametrize("rel_tol", [1e-14, 1e-8, 1e-3])
     def test_loose_tolerance_still_polishes(self, rel_tol):
         res = self._solve(lambda x: math.exp(x) - 3.0, 0.0, 5.0, dfdx=math.exp, rel_tol=rel_tol)
@@ -201,15 +215,53 @@ class TestEachPointOnce:
 
     @pytest.mark.parametrize(
         "lengths, budget",
-        [([1e-300, 1e-300, 3e-300], 14), ([1e200, 1e200, 3e200], 15)],
+        [([1e-300, 1e-300, 3e-300], 9), ([1e200, 1e200, 3e200], 8)],
         ids=["1e-300", "1e200"],
     )
     def test_phi_budget_at_extreme_scales(self, monkeypatch, lengths, budget):
-        # the bracket halves from min(lo, l_dom) / 2 and grows from max(2, l_max):
-        # halving from 1 alone would take about 1,000 evaluations at 1e-300
+        # the upper end is hyperbolic.axis_bound, which scales with the sides, and
+        # the lower end halves from it: halving from 1 alone would take about
+        # 1,000 evaluations at 1e-300
         points = self._record(monkeypatch)
         minkowski.solve_minkowski(lengths)
         assert len(points) <= budget
+
+    @pytest.mark.parametrize(
+        "curve, budget",
+        [("euclidean", 4), ("hyperbolic-hypercycle", 4), ("minkowski", 4)],
+    )
+    def test_budget_at_n_10000(self, monkeypatch, curve, budget):
+        # built as the large-n workload builds them: both bracket ends are
+        # closed-form bounds, and the solve starts at the one nearer the root
+        points = self._record(monkeypatch)
+        for seed in range(3):
+            points.clear()
+            request = workload_request(curve, 10_000, np.random.default_rng(seed))
+            assert isinstance(_solve(request), dict)
+            assert len(points) <= budget and len(set(points)) == len(points), points
+
+    def test_one_arsinh_pass_per_phi_point(self, monkeypatch):
+        # phi_prime at the x phi just took, and the placement at the root, reuse
+        # the half feet of that phi
+        points = self._record(monkeypatch)
+        passes = []
+        half_feet = hyperbolic._half_feet
+
+        def recorded_half_feet(x, chords):
+            passes.append(("phi", float(x)))
+            return half_feet(x, chords)
+
+        monkeypatch.setattr(hyperbolic, "_half_feet", recorded_half_feet)
+        solved = 0
+        for request in draw_requests(seed=405, count=400):
+            if request["geometry"] not in ("hyperbolic", "minkowski"):
+                continue
+            points.clear()
+            passes.clear()
+            if isinstance(_solve(request), dict):
+                solved += 1
+            assert passes == [p for p in points if p[0] == "phi"], request
+        assert solved > 100
 
     def test_no_point_evaluated_twice(self, monkeypatch):
         points = self._record(monkeypatch)

@@ -165,3 +165,38 @@ class TestKLDivergence:
             specfun.ProbDist([math.nan, 1.0])
         with pytest.raises(DomainError):
             specfun.ProbDist([])
+
+
+class TestRatioInverses:
+    """sin_ratio_inverse and sinh_ratio_inverse against 50-digit roots of
+    x / sin x = a / b and sinh(x) / x = a / b, from a ratio within an ulp of 1
+    up to the ends of their ranges."""
+
+    @staticmethod
+    def _check(inverse, ratio, top: float, seed: int):
+        # a / b - 1 log-uniform from 1e-16 to top; b log-uniform on [1e-300, 1e-10]
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        b = np.exp(rng.uniform(math.log(1e-300), math.log(1e-10), 100))
+        a = b * (1.0 + np.exp(rng.uniform(math.log(1e-16), math.log(top), 100)))
+        with mpmath.workdps(50):
+            for a, b in zip(a.tolist(), b.tolist()):
+                level = mpmath.log(mpmath.mpf(a) / mpmath.mpf(b))
+                lo, hi = mpmath.mpf(0), mpmath.mpf(inverse(a, b)) * 2
+                for _ in range(180):  # bisection on the increasing log ratio
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if mpmath.log(ratio(mpmath, mid)) > level else (mid, hi)
+                assert inverse(a, b) == pytest.approx(float(lo), rel=8e-16, abs=0), (a, b)
+
+    def test_sin_ratio_inverse(self):
+        self._check(specfun.sin_ratio_inverse, lambda mp, x: x / mp.sin(x), math.pi / 2 - 1 - 1e-6, 0)
+
+    def test_sinh_ratio_inverse(self):
+        self._check(specfun.sinh_ratio_inverse, lambda mp, x: mp.sinh(x) / x, 1e200, 1)
+
+    def test_ends_of_the_ranges(self):
+        # past pi/2 by rounding: pi/2; a / b past the float maximum: sinh(x) / x
+        # = 1e600 at x - log(2x) = 600 log 10
+        assert specfun.sin_ratio_inverse(math.pi / 2 + 1e-3, 1.0) == math.pi / 2
+        x = specfun.sinh_ratio_inverse(1e300, 1e-300)
+        assert x - math.log(2.0 * x) == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
