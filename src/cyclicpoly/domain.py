@@ -58,7 +58,7 @@ def excess(v: np.ndarray, m: int) -> float:
     if v.size < FSUM_CUTOFF:
         rest = v.tolist()
         return rest.pop(m) - math.fsum(rest)
-    return float(v[m]) - fsum(v[:-1] if m in (-1, v.size - 1) else np.delete(v, m))
+    return float(v[m]) - fsum(np.delete(v, m))
 
 
 def prefix_sums(marks) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,12 @@ perimeter P, by arcsin x >= x and Jordan's arcsin x <= pi x/2; outside, in
 [R0, l_max / 2y], where y solves arcsin(y)/y = (sum of the others)/l_max,
 the equation with the other sides linearized.  Newton starts at the end
 whose defect is smaller, which on large polygons is P/2pi, within a few
-millionths of the root.  A polygon exists iff every side is strictly
-shorter than the sum of the others, and it is unique.
+millionths of the root.  A bound can lie within rounding of the root (the
+outside upper one nears it as the sides grow in number); where rounding
+takes the sign of its defect, or leaves the upper one's within rounding of
+0, the solve falls back to R0 below and to _far_radius above.  A polygon
+exists iff every side is strictly shorter than the sum of the others, and
+it is unique.
 """
 
 from __future__ import annotations
@@ -112,13 +116,26 @@ def radius_bounds(lm: float, rest: float, center_inside: bool) -> tuple[float, f
     return 0.5 * lm, 0.5 * lm / math.sin(sin_ratio_inverse(rest, lm))
 
 
+def _far_radius(lm: float, rest: float, mu: float, center_inside: bool) -> float:
+    """A radius past radius_bounds' R_hi at which the defect is as far from 0
+    as the margin mu = rest - lm allows, whatever the number of sides.
+
+    Inside, P/2, where the defect is at most -pi/2 by Jordan's inequality.
+    Outside, lm / 2x at the peak x = sqrt(1 - (lm/rest)^2) of the linearized
+    defect x rest/lm - arcsin x, which bounds the defect from below.
+    """
+    if center_inside:
+        return 0.5 * (lm + rest)
+    return 0.5 * lm * rest / math.sqrt(mu * (rest + lm))
+
+
 def solve_euclidean(lengths) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
     Raises NoPolygonError when the polygon inequalities fail, and
-    NearDegenerateError when they hold by so little that the defect at a
-    closed-form bound on the radius is within its rounding error of 0, or
-    when a side's central angle underflows to 0.
+    NearDegenerateError when they hold by so little that the defect past the
+    root, at the closed-form upper bound and at _far_radius, is within its
+    rounding error of 0, or when a side's central angle underflows to 0.
     """
     lengths = SideLengths.coerce(lengths)
     m, _ = check_polygon_inequalities(lengths)
@@ -172,27 +189,44 @@ def solve_euclidean(lengths) -> EuclideanSolution:
 
     # The bracket ends are radius_bounds.  At R0 (t = 0) f is h0 - pi/2 on
     # either branch, since the longest side's half angle there is pi/2.
-    r_lo, r_hi = radius_bounds(lm, fsum(l, -lm), center_inside)
+    f0 = h0 - 0.5 * math.pi
+    rest = fsum(l, -lm)
+    r_lo, r_hi = radius_bounds(lm, rest, center_inside)
     t = t_lo = math.sqrt(r_lo - r0)
-    f_lo = f(t_lo) if t_lo > 0.0 else h0 - 0.5 * math.pi
+    f_lo = f(t_lo) if t_lo > 0.0 else f0
+    if (f_lo < 0.0) != (f0 < 0.0):
+        # rounding took the sign at P/2pi, within rounding of the root: R0 is
+        # the lower end instead
+        t = t_lo = 0.0
+        f_lo = f0
     iterations = 0
     if f_lo != 0.0:
+        upper = -1.0 if center_inside else 1.0  # the sign of f past the root
+
+        def resolved(t: float, v: float) -> bool:
+            # v has the sign of f past the root by more than the rounding of
+            # the half angles (their sum, plus pi inside, is v + 2 pi inside
+            # and v + 2 a_m outside)
+            a_m = math.pi if center_inside else float(half_angles(t)[2][m])
+            return upper * v > _ANGLE_REL_NOISE * (v + 2.0 * a_m)
+
         t_hi = math.sqrt(r_hi - r0)
         f_hi = f(t_hi)
-        # each bound has its sign in exact arithmetic; where rounding takes it,
-        # or the upper one lies within the rounding of the half angles (their
-        # sum, plus pi inside, is f_hi + 2 pi inside and f_hi + 2 a_m outside),
-        # the root cannot be resolved
-        noise = _ANGLE_REL_NOISE * (
-            f_hi + 2.0 * (math.pi if center_inside else float(half_angles(t_hi)[2][m]))
-        )
-        if (f_lo < 0.0) != (f_hi > 0.0) or abs(f_hi) <= noise:
-            raise NearDegenerateError(
-                f"the defect at a bound of the circumradius bracket [{math.ldexp(r_lo, scale):g}, "
-                f"{math.ldexp(r_hi, scale):g}] is within rounding of 0; the input is "
-                "degenerate to working precision",
-                index=m,
-            )
+        if not resolved(t_hi, f_hi):
+            # R_hi nears the root as the sides grow in number, until f there
+            # is within rounding of 0 or past it; the root is resolved iff f is
+            # at the far radius
+            r_far = _far_radius(lm, rest, fsum(l, -2.0 * lm), center_inside)
+            t_far = math.sqrt(r_far - r0)
+            f_far = f(t_far)
+            if not resolved(t_far, f_far):
+                raise NearDegenerateError(
+                    f"the defect at radius {math.ldexp(r_far, scale):g}, past the root, is "
+                    "within rounding of 0; the input is degenerate to working precision",
+                    index=m,
+                )
+            if not upper * f_hi > 0.0:
+                t_hi, f_hi = t_far, f_far
         res = bisect_newton(f, t_lo, t_hi, dfdx=dfdx, f_lo=f_lo, f_hi=f_hi)
         t = res.root
         iterations = res.iterations

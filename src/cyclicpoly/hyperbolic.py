@@ -264,9 +264,10 @@ def solve_on_axis(chords, dom: int, floor: float):
     The upper end is axis_bound.  The lower end starts at 1; while
     Phi(lo) >= 0, or lo is not below the upper end, lo becomes the upper end
     (Phi at the bound is then never taken) and is halved.  Raises
-    NearDegenerateError (``index`` dom) where Phi at the bound is not positive,
-    where lo <= floor must move, as at x = 1 for a hypercycle within rounding
-    of its axis, or where c_dom / 2x passes the float range at either end.
+    NearDegenerateError (``index`` dom) where Phi is not positive at the bound
+    nor at the peak of its linearized lower bound, where lo <= floor must
+    move, as at x = 1 for a hypercycle within rounding of its axis, or where
+    c_dom / 2x passes the float range at either end.
     """
     rot = SideLengths(chords[dominant_last(dom, len(chords))])  # checked once
     c_dom = float(chords[dom])
@@ -280,7 +281,8 @@ def solve_on_axis(chords, dom: int, floor: float):
                 index=dom,
             )
 
-    hi = axis_bound(c_dom, fsum(rot.values[:-1]))
+    rest = fsum(rot.values[:-1])
+    hi = axis_bound(c_dom, rest)
     refuse_below(hi)
     lo, f_hi = 1.0, None
     while lo >= hi or not (f_lo := phi(lo, rot)) < 0.0:
@@ -295,11 +297,18 @@ def solve_on_axis(chords, dom: int, floor: float):
         lo = 0.5 * min(lo, c_dom)
         refuse_below(lo)
     if f_hi is None and not (f_hi := phi(hi, rot)) > 0.0:
-        raise NearDegenerateError(
-            f"Phi at the radius bound {hi:g} is not positive: the input is "
-            "degenerate to working precision",
-            index=dom,
-        )
+        # the bound nears the zero as the chords grow in number, until rounding
+        # takes the sign of Phi there; Phi is at least its linearized lower
+        # bound arsinh(c_dom / 2x) - rest / 2x, which peaks further out, at
+        # x = c_dom rest / 2 sqrt(c_dom^2 - rest^2)
+        gap = c_dom - rest
+        hi = 0.5 * c_dom * rest / math.sqrt(gap * (c_dom + rest)) if gap > 0.0 else math.inf
+        if not (f_hi := phi(hi, rot)) > 0.0:
+            raise NearDegenerateError(
+                f"Phi at radius {hi:g}, past its zero, is not positive: the input is "
+                "degenerate to working precision",
+                index=dom,
+            )
     res = bisect_newton(
         lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),
         rel_tol=_PHI_REL_TOL, f_lo=f_lo, f_hi=f_hi,

@@ -406,14 +406,16 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple:
     return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
 
 
-def _digits(v: np.ndarray, a: np.ndarray, fast: np.ndarray) -> tuple:
+def _digits(v: np.ndarray) -> tuple:
     """The row mask key, first digit and four 4-digit groups of the "%.17g" text
-    of each finite value of v, given a = |v| and fast = (1e-4 <= a < 1e17).
+    of each finite value of v.
 
     For 1e-4 <= |x| < 1e17, x * 10**(16 - X) with X = floor(log10|x|) is an exact
     p + e, whose p is an even integer; p + rint(e) is then the 17-digit integer,
     rounded half to even as dtoa rounds it (D. M. Gay, 1990).  The other cells,
     0, |x| < 1e-4 and values that round to 1e17 or more, get the key _SLOW."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p, e = _scaled(a, x)
@@ -458,14 +460,9 @@ def _format_cells(v: np.ndarray, codes: np.ndarray, seps: list) -> bytes:
     """The "%.17g" text of each finite value of v, each after the separator
     seps[code] of its code.  The digits go from 4-digit tables into a fixed row
     per cell, and the mask of the cell's key picks the bytes to keep; a cell of
-    key _SLOW keeps a %.17g field that one % fills.  A chunk with no cell of the
-    kernel's (1e-4 <= |x| < 1e17) is all %.17g fields, filled by one %."""
-    a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e17)
-    if not fast.any():
-        return (b"%.17g".join([seps[c] for c in codes.tolist()]) + b"%.17g") % tuple(v.tolist())
+    key _SLOW keeps a %.17g field that one % fills."""
     groups, _, masks, words = _tables()
-    key, d0, g = _digits(v, a, fast)
+    key, d0, g = _digits(v)
     rows = np.empty((v.size, _ROW // 8), np.uint64)
     rows[:, 0] = words[0].take(d0)
     rows[:, 3] = words[1].take(d0)

@@ -204,7 +204,7 @@ class TestFsum:
 class TestExcess:
     @pytest.mark.parametrize("n", [5, FSUM_CUTOFF, 1500])
     def test_entry_less_the_fsum_of_the_rest(self, n):
-        # the dominant entry last reads v[:-1], any other position drops it
+        # the fsum path from FSUM_CUTOFF entries gives the short path's value
         v = np.random.default_rng(n).uniform(0.25, 4.0, n)
         for m in (-1, n - 1, 0, n // 2):
             rest = np.delete(v, m).tolist()

@@ -203,11 +203,51 @@ class TestSolveProperties:
         rec = np.linalg.norm(d, axis=1)
         assert np.max(np.abs(rec[:3] - 1.0)) <= 1e-9
 
+    def test_long_side_beside_many_short_ones_solves(self):
+        # the center is outside by a margin of 1e-5 over 10^5 short sides: the
+        # upper bound lies so close to the root that the defect there is
+        # within its rounding estimate, yet the root is well conditioned
+        n, short = 100_000, 1.00001e-5
+        sol = euclidean.solve_euclidean([1.0] + [short] * n)
+        assert not sol.center_inside
+
+        def f(r):
+            return n * math.asin(short / (2.0 * r)) - math.asin(1.0 / (2.0 * r))
+
+        lo, hi = 0.5, 1e3  # f(lo) < 0 < f(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+        assert sol.radius == pytest.approx(lo, rel=1e-10)
+
     def test_near_degenerate_error(self):
         # strict by one ulp of the fsum margin: the circumradius overflows
         # any certifiable range and the solver must fail crisply
         with pytest.raises(NearDegenerateError):
             euclidean.solve_euclidean([1.0, 1.0, 1.0, 2.9999999999999996])
+
+
+class TestBoundsPastTheRoot:
+    """Rounding can take the defect at a closed-form bound past 0 where the
+    bound lies within rounding of the root; the solve then brackets from R0
+    below and from the far radius above, as a bound moved past the root shows."""
+
+    @pytest.mark.parametrize("lengths", [[0.9, 0.6, 0.7, 0.5], [0.9, 0.3, 0.3, 0.35]])
+    @pytest.mark.parametrize("end, shift", [(0, 1e-6), (1, -1e-6)])
+    def test_solves_from_the_fallback_end(self, monkeypatch, lengths, end, shift):
+        # the longest side is in [0.5, 1), so the solve runs unscaled
+        ref = euclidean.solve_euclidean(lengths)
+        bounds = euclidean.radius_bounds
+
+        def moved(lm, rest, center_inside):
+            b = list(bounds(lm, rest, center_inside))
+            b[end] = ref.radius * (1.0 + shift)
+            return tuple(b)
+
+        monkeypatch.setattr(euclidean, "radius_bounds", moved)
+        sol = euclidean.solve_euclidean(lengths)
+        assert sol.center_inside == ref.center_inside
+        assert sol.radius == pytest.approx(euclidean_radius_bisect(lengths), rel=1e-14)
 
 
 class TestSingularityFreeVariable:

@@ -319,6 +319,22 @@ class TestHypercycleRadius:
             roots.append(hyperbolic.solve_hypercycle_radius(chords))
         assert all(b > a for a, b in zip(roots, roots[1:]))
 
+    def test_dominant_chord_beside_many_short_ones(self):
+        # 10^5 short chords 1e-7 (relative) short of the dominant one: rounding
+        # takes the sign of phi at axis_bound, 2.4e-10 (relative) past the
+        # root, and the bracket ends further out
+        n, c = 100_000, 30.0 * (1.0 - 1e-7) / 100_000
+        rbar = hyperbolic.solve_hypercycle_radius([c] * n + [30.0])
+
+        def f(x):
+            return math.asinh(15.0 / x) - n * math.asinh(c / (2.0 * x))
+
+        lo, hi = 1.0, 1e6  # f(lo) < 0 < f(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+        assert rbar == pytest.approx(lo, rel=1e-8)
+
     def test_non_dominant_chords_rejected(self):
         with pytest.raises(InvariantViolation):
             hyperbolic.solve_hypercycle_radius([1.0, 1.0, 1.9])  # margin -0.1

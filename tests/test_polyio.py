@@ -689,17 +689,6 @@ class TestBlockKernel:
         assert written == [800]
         assert text == _oracle_dumps({"m": m.tolist(), "k": 0.5}, indent)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e17, 1e300])
-    def test_chunk_without_kernel_cells_is_percent_fields(self, scale, monkeypatch):
-        # 0, |x| < 1e-4 and |x| >= 1e17 are % fields in any chunk; a chunk of
-        # them alone is written by % without the kernel's numpy pass
-        rng = np.random.default_rng(7)
-        v = rng.choice([-scale, scale], 8000) * rng.uniform(1.0, 10.0, 8000)
-        v[::97] = 0.0
-        monkeypatch.setattr(polyio, "_digits", None)  # any kernel pass fails
-        text = polyio.dumps_report({"v": v, "m": v.reshape(-1, 2)})
-        assert text == _oracle_dumps({"v": v.tolist(), "m": v.reshape(-1, 2).tolist()})
-
     def test_non_finite_block_names_the_first_non_finite_value(self):
         m = np.ones((400, 2))
         m[150, 1], m[300, 0] = np.nan, np.inf
