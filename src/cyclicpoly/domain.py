@@ -117,11 +117,13 @@ def dominance(values) -> tuple[int, float]:
 
 
 def columns(n: int, *cols) -> np.ndarray:
-    """The C-ordered n-row matrix of these columns; a scalar fills its column."""
-    out = np.empty((n, len(cols)))
+    """The n-row matrix of these columns, stored column by column, so that the
+    report gates' reductions along n run over contiguous memory; a scalar fills
+    its column."""
+    out = np.empty((len(cols), n))
     for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
+        out[j] = col
+    return out.T
 
 
 def mean(x: np.ndarray) -> float:

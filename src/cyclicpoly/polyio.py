@@ -15,7 +15,10 @@ Floats are serialized with 17 significant digits (binary64 round-trip
 exact) in one template pass: one walk builds a %-template with a %.17g field
 per float, and one % fills it.  A float vector or matrix is one block: payloads
 hold the solvers' float64 arrays, and a list (a JSON-loaded report) is walked
-item by item into the same text; a finite matrix column of one value (the
+item by item into the same text.  The solvers store an (n, k) vertex matrix
+column by column (domain.columns), so the gates' reductions along n and the
+test for a constant column run over contiguous memory; the writer copies its
+cells into row order once.  A finite matrix column of one value (the
 shared height of the vertices on a sphere's circle) is formatted once, into
 the row text.  A finite block of at least _BLOCK_CUTOFF cells is written by a
 numpy kernel, byte for byte as %.17g writes it (exact digits from Dekker's
@@ -349,7 +352,7 @@ def _layout(items: list, pad: str, step: str) -> str:
 _BLOCK_CUTOFF, _BLOCK_COLUMNS = 300, 8
 #: cells per _format_cells call: fewer pay more for its fixed numpy calls, more
 #: raise the peak RSS of a large report
-_CHUNK = 2048
+_CHUNK = 4096
 #: a cell's row in _format_cells: its column code, "-0.000" and the first digit
 #: in bytes 0-7, the other 16 digits in 8-23, "%.17g" in 24-28, then "." and
 #: the 17 digits again in 30-47
@@ -528,8 +531,8 @@ def _emit(obj, out: list, floats: list, blocks: list, pad: str, step: str) -> No
             keep = [j for j, x in enumerate(first) if not (same[j] and math.isfinite(x))]
             cells = [cell if j in keep else "%.17g" % (0.0 + x) for j, x in enumerate(first)]
             cell = _layout(cells, inner, step)
-            obj = obj.take(keep, axis=1)
-        values = (obj + 0.0).ravel()
+            obj = obj[:, keep]  # in its own layout: take row-orders it, slowly
+        values = np.add(obj, 0.0, order="C").ravel()  # the cells in row order, one copy
         if (
             values.size >= _BLOCK_CUTOFF
             and cell.count("%") <= _BLOCK_COLUMNS

@@ -74,7 +74,7 @@ def check_spherical_feasibility(lengths) -> tuple[int, float]:
     its negative margin, or a NoPolygonError."""
     lengths = SideLengths.coerce(lengths)
     try:
-        gap = fsum(np.append(lengths.values, (-TWO_PI, -TWO_PI_LO)))  # exactly rounded
+        gap = fsum(lengths.values, -TWO_PI, -TWO_PI_LO)  # exactly rounded
     except OverflowError:  # positive sides summing past the float maximum
         gap = math.inf
     if gap >= 0.0:

@@ -142,3 +142,17 @@ def triangle_radius(l) -> float:
     a, b, c = sorted((float(x) for x in l), reverse=True)
     p = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     return a * b * c / math.sqrt(abs(p))
+
+
+def quadrilateral_radius(l) -> float:
+    """Parameshvara's R = sqrt((ab + cd)(ac + bd)(ad + bc) / 16 prod(s - l_k)): the
+    circumradius of a quadrilateral (every s - l_k > 0), or, from |R^2|, the
+    radius of the hyperbola through a spacetime quadrilateral and the zero of
+    Phi on hypercycle chords (the dominant factor < 0).  Each s - l_k is half
+    the fsum of the other three sides less l_k, so the factor that carries the
+    margin is correctly rounded."""
+    sides = [float(x) for x in l]
+    a, b, c, d = sides
+    gaps = [0.5 * math.fsum([*sides[:k], *sides[k + 1:], -x]) for k, x in enumerate(sides)]
+    p = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
+    return math.sqrt(abs(p / (16.0 * math.prod(gaps))))

@@ -17,6 +17,7 @@ from cyclicpoly.domain import (
     CentralAngles,
     FootDistances,
     SideLengths,
+    columns,
     dominance,
     excess,
     fsum,
@@ -209,6 +210,22 @@ class TestExcess:
         for m in (-1, n - 1, 0, n // 2):
             rest = np.delete(v, m).tolist()
             assert excess(v, m).hex() == (v[m] - math.fsum(rest)).hex()
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_column_major_matrix_of_its_columns(self, n):
+        # stored column by column: a reduction along n runs over contiguous memory
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        m = columns(n, x, 0.75, -x)
+        assert m.shape == (n, 3) and m.flags.f_contiguous
+        assert m[:, 0].tobytes() == x.tobytes()
+        assert (m[:, 1] == 0.75).all()
+        assert m[:, 2].tobytes() == (-x).tobytes()
+
+    def test_one_column(self):
+        m = columns(4, 2.5)
+        assert m.shape == (4, 1) and m.flags.f_contiguous and (m == 2.5).all()
 
 
 class TestMean:

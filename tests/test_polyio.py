@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -540,12 +541,13 @@ class TestArrayBlock:
     @pytest.mark.parametrize("indent", [0, 2, 4])
     @pytest.mark.parametrize("name", list(ARRAY_SHAPES))
     def test_array_writes_as_its_list(self, name, indent):
-        a = ARRAY_SHAPES[name]
-        text = polyio.dumps_report({"k": 1.5, "a": a, "z": [a, a]}, indent=indent)
-        listed = {"k": 1.5, "a": a.tolist(), "z": [a.tolist(), a.tolist()]}
-        assert text == polyio.dumps_report(listed, indent=indent)
-        assert text == _oracle_dumps(listed, indent)
-        assert json.loads(text)["a"] == (a + 0.0).tolist()
+        # stored row by row or, as the solvers store vertices, column by column
+        for a in (ARRAY_SHAPES[name], np.asfortranarray(ARRAY_SHAPES[name])):
+            text = polyio.dumps_report({"k": 1.5, "a": a, "z": [a, a]}, indent=indent)
+            listed = {"k": 1.5, "a": a.tolist(), "z": [a.tolist(), a.tolist()]}
+            assert text == polyio.dumps_report(listed, indent=indent)
+            assert text == _oracle_dumps(listed, indent)
+            assert json.loads(text)["a"] == (a + 0.0).tolist()
 
     @pytest.mark.parametrize(
         "m, rest",
@@ -558,13 +560,14 @@ class TestArrayBlock:
         ],
     )
     def test_finite_constant_column_goes_into_the_row_text(self, m, rest):
-        out, floats = [], []
-        polyio._emit(np.array(m), out, floats, [], "", "  ")
-        if rest is None:
-            assert len(floats) == 4 and math.isnan(floats[1]) and math.isnan(floats[3])
-        else:
-            assert floats == rest
-        assert "".join(out).count("%.17g") == len(floats)
+        for order in "CF":
+            out, floats = [], []
+            polyio._emit(np.array(m, order=order), out, floats, [], "", "  ")
+            if rest is None:
+                assert len(floats) == 4 and math.isnan(floats[1]) and math.isnan(floats[3])
+            else:
+                assert floats == rest
+            assert "".join(out).count("%.17g") == len(floats)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["entry", "constant_column"])
@@ -685,9 +688,22 @@ class TestBlockKernel:
         monkeypatch.setattr(
             polyio, "_block_text", lambda *args: written.append(args[0].size) or block_text(*args)
         )
-        text = polyio.dumps_report({"m": m, "k": 0.5}, indent=indent)
-        assert written == [800]
-        assert text == _oracle_dumps({"m": m.tolist(), "k": 0.5}, indent)
+        want = _oracle_dumps({"m": m.tolist(), "k": 0.5}, indent)
+        for stored in (m, np.asfortranarray(m)):
+            assert polyio.dumps_report({"m": stored, "k": 0.5}, indent=indent) == want
+        assert written == [800, 800]
+
+    @pytest.mark.parametrize(
+        "cells", [polyio._CHUNK - 1, polyio._CHUNK, polyio._CHUNK + 1, 2 * polyio._CHUNK + 1]
+    )
+    def test_chunk_edges(self, cells):
+        # polyio._CHUNK cells per kernel call: a block one cell short of a chunk,
+        # one chunk, one cell past it and past two; the first cell has no separator
+        v = np.random.default_rng(cells).uniform(-2.0, 2.0, cells)
+        _assert_block_kernel_writes_percent(v)
+        # three columns stored column by column: chunks end inside a row
+        for obj in (v, v.reshape(-1, 1), np.asfortranarray(np.stack((v, -v, 0.5 * v), axis=1))):
+            assert polyio.dumps_report({"a": obj}) == _oracle_dumps({"a": obj.tolist()})
 
     def test_non_finite_block_names_the_first_non_finite_value(self):
         m = np.ones((400, 2))
@@ -699,6 +715,45 @@ class TestBlockKernel:
             polyio.dumps_report({"w": [-math.inf], "m": m})
         with pytest.raises(InvariantViolation, match="non-finite value inf in report"):
             polyio.dumps_report({"v": big, "w": [1.0, math.inf]})
+
+
+#: n = 3 with the dominant side last, so hyperbolic.place rotates by 0
+DOMINANT_LAST_REQUESTS = {
+    "horocycle-dominant-last": {"geometry": "hyperbolic", "lengths": [1, 1, HOROCYCLE_L3]},
+    "hypercycle-dominant-last": {"geometry": "hyperbolic", "lengths": [1, 1, 1.9]},
+    "minkowski-dominant-last": {"geometry": "minkowski", "lengths": [1, 1, 3]},
+}
+LAYOUT_REQUESTS = {
+    **WORKLOAD_REQUESTS,
+    **{f"{curve}-n3": SMALL_REQUESTS[f"{curve}-n3"] for curve in LARGE_CURVES},
+    **DOMINANT_LAST_REQUESTS,
+}
+
+
+class TestVertexLayout:
+    """Every solver stores its vertex matrix column by column (domain.columns);
+    the gates and the report text do not depend on that layout."""
+
+    @pytest.mark.parametrize("name", list(LAYOUT_REQUESTS))
+    def test_vertices_are_column_major(self, name):
+        request = polyio.parse_request(LAYOUT_REQUESTS[name])
+        _, sol, _ = polyio._solve(request)
+        if name.endswith("dominant-last"):
+            cls = getattr(sol, "curve_class", None)
+            assert cls is None or cls.kind == name.split("-")[0]
+            assert (sol.dominant if cls is None else cls.index) == 2
+        assert sol.vertices.shape[0] == len(request.lengths)
+        assert sol.vertices.flags.f_contiguous
+
+    @pytest.mark.parametrize("name", list(LAYOUT_REQUESTS))
+    def test_gates_and_text_do_not_depend_on_the_layout(self, name):
+        request = polyio.parse_request(LAYOUT_REQUESTS[name])
+        lengths, sol, body = polyio._solve(request)
+        row_major = dataclasses.replace(sol, vertices=np.ascontiguousarray(sol.vertices))
+        assert row_major.vertices.flags.c_contiguous and not row_major.vertices.flags.f_contiguous
+        other = polyio._report_body(request.geometry, lengths, row_major)
+        assert other[1] == body[1]  # the residual rows and the cross-check
+        assert polyio.dumps_report(list(other)) == polyio.dumps_report(list(body))
 
 
 class TestCliExitCodes:

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from cyclicpoly import euclidean, hyperbolic, minkowski, specfun, spherical, variational
 from cyclicpoly.domain import FSUM_CUTOFF, dominance
 from cyclicpoly.errors import InfeasibleError, NoPolygonError
-from oracles import euclidean_radius_bisect, phi_root_bisect, triangle_radius
+from oracles import (
+    euclidean_radius_bisect,
+    phi_root_bisect,
+    quadrilateral_radius,
+    triangle_radius,
+)
 
 finite_angles = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 small_positive = st.floats(min_value=1e-3, max_value=5.0)
@@ -311,53 +316,86 @@ def test_spacetime_polygon_on_hypercycle_chords_is_the_hypercycle(hypercycle):
 EPS = sys.float_info.epsilon
 
 
-# a triangle of sides b, c log-uniform on [0.1, 10] and a third side 10**u of
-# the way, u uniform on [-3, 0), from b + c towards |b - c| (Euclidean) or
-# (b + c)(1 + 10**u) (spacetime, and hypercycle chords)
+# n - 1 sides log-uniform on [0.1, 10] and a first side 10**u of the way, u
+# uniform on [-3, 0), from their sum towards the least side that keeps the
+# polygon inequalities (Euclidean; |b - c| for a triangle), or their sum times
+# 1 + 10**u (spacetime, and hypercycle chords)
 @st.composite
-def triangles(draw, euclidean_plane: bool):
+def closed_form_polygons(draw, n: int, euclidean_plane: bool):
     log_side = st.floats(min_value=math.log(0.1), max_value=math.log(10.0))
-    b, c = math.exp(draw(log_side)), math.exp(draw(log_side))
+    sides = [math.exp(draw(log_side)) for _ in range(n - 1)]
     step = 10.0 ** draw(st.floats(min_value=-3.0, max_value=0.0, exclude_max=True))
-    a = (b + c) - 2.0 * min(b, c) * step if euclidean_plane else (b + c) * (1.0 + step)
-    assume(a > 0.0)  # b = c and a step that rounds to 1
-    return np.array([a, b, c])
+    total = math.fsum(sides)
+    if euclidean_plane:
+        short = math.fsum(sorted(sides)[:-1])  # all but the longest
+        a = total - 2.0 * min(0.5 * total, short) * step
+    else:
+        a = total * (1.0 + step)
+    assume(a > 0.0)  # a least side of 0 and a step that rounds to 1
+    return np.array([a, *sides])
 
 
-def _assert_triangle_radius(radius: float, sides: np.ndarray) -> None:
+def _assert_closed_form_radius(radius: float, sides: np.ndarray) -> None:
     # the condition of the radius in the sides is about perimeter / |margin|
     _, margin = dominance(sides)
     unit = 8.0 * EPS * max(1.0, math.fsum(sides.tolist()) / abs(margin))
-    assert abs(radius / triangle_radius(sides) - 1.0) <= unit, sides.tolist()
+    closed_form = triangle_radius if sides.size == 3 else quadrilateral_radius
+    assert abs(radius / closed_form(sides) - 1.0) <= unit, sides.tolist()
 
 
-@given(triangles(True))
-@settings(max_examples=300, deadline=None)
-def test_euclidean_triangle_radius_is_closed_form(sides):
+def _euclidean_radius(sides: np.ndarray) -> float:
     try:
-        radius = euclidean.solve_euclidean(sides).radius
-    except InfeasibleError:  # flat, or flat within rounding, near |b - c|
+        return euclidean.solve_euclidean(sides).radius
+    except InfeasibleError:  # flat, or flat within rounding
         assume(False)
-    _assert_triangle_radius(radius, sides)
 
 
-@given(triangles(False))
-@settings(max_examples=300, deadline=None)
-def test_spacetime_triangle_radius_is_closed_form(sides):
-    _assert_triangle_radius(minkowski.solve_minkowski(sides).radius, sides)
-
-
-@given(triangles(False))
-@settings(max_examples=300, deadline=None)
-def test_hypercycle_triangle_root_is_closed_form(chords):
-    # the hyperbolic triangle whose chords these are, then the solver's own chords
+def _hypercycle_root(chords: np.ndarray) -> tuple:
+    """The zero of Phi on the solver's own chords of the hyperbolic polygon whose
+    chords these are, and those chords."""
     try:
         cls = hyperbolic.classify(2.0 * np.arcsinh(0.5 * chords))
     except NoPolygonError:
         assume(False)
     assume(cls.kind == hyperbolic.HYPERCYCLE)
-    root = hyperbolic.solve_hypercycle_radius(cls.chords[hyperbolic.dominant_last(cls.index, 3)])
-    _assert_triangle_radius(root, cls.chords)
+    rot = cls.chords[hyperbolic.dominant_last(cls.index, chords.size)]
+    return hyperbolic.solve_hypercycle_radius(rot), cls.chords
+
+
+@given(closed_form_polygons(3, True))
+@settings(max_examples=300, deadline=None)
+def test_euclidean_triangle_radius_is_closed_form(sides):
+    _assert_closed_form_radius(_euclidean_radius(sides), sides)
+
+
+@given(closed_form_polygons(3, False))
+@settings(max_examples=300, deadline=None)
+def test_spacetime_triangle_radius_is_closed_form(sides):
+    _assert_closed_form_radius(minkowski.solve_minkowski(sides).radius, sides)
+
+
+@given(closed_form_polygons(3, False))
+@settings(max_examples=300, deadline=None)
+def test_hypercycle_triangle_root_is_closed_form(chords):
+    _assert_closed_form_radius(*_hypercycle_root(chords))
+
+
+@given(closed_form_polygons(4, True))
+@settings(max_examples=300, deadline=None)
+def test_euclidean_quadrilateral_radius_is_closed_form(sides):
+    _assert_closed_form_radius(_euclidean_radius(sides), sides)
+
+
+@given(closed_form_polygons(4, False))
+@settings(max_examples=300, deadline=None)
+def test_spacetime_quadrilateral_radius_is_closed_form(sides):
+    _assert_closed_form_radius(minkowski.solve_minkowski(sides).radius, sides)
+
+
+@given(closed_form_polygons(4, False))
+@settings(max_examples=300, deadline=None)
+def test_hypercycle_quadrilateral_root_is_closed_form(chords):
+    _assert_closed_form_radius(*_hypercycle_root(chords))
 
 
 # polygons of the small-request envelope, with one side then set to f times the
