@@ -141,12 +141,13 @@ def hyp_chord(lengths) -> np.ndarray:
     l = 5e-324, or passes the float range, as for l = 1420."""
     values = SideLengths.coerce(lengths).values
     # math.sinh raises from l/2 = 710.48; 2 sinh(l/2) passes the float range from 709.79
-    s = list(map(math.sinh, np.minimum(0.5 * values, 710.0).tolist()))
-    if not (0.0 < min(s) and max(s) <= _HALF_MAX):
-        k = next(k for k, x in enumerate(s) if not 0.0 < x <= _HALF_MAX)
+    s = np.fromiter(map(math.sinh, np.minimum(0.5 * values, 710.0).tolist()), float, values.size)
+    bad = np.flatnonzero((s <= 0.0) | (s > _HALF_MAX))
+    if bad.size:
+        k = bad[0]
         ell, size = float(values[k]), "short" if s[k] == 0.0 else "long"
         raise NearDegenerateError(f"hyperbolic length {ell!r} is too {size} for its chord")
-    return 2.0 * np.array(s)
+    return 2.0 * s
 
 
 def classify(lengths) -> HypCurveClass:

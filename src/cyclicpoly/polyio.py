@@ -24,7 +24,9 @@ the row text.  A finite block of at least _BLOCK_CUTOFF cells is written by a
 numpy kernel, byte for byte as %.17g writes it (exact digits from Dekker's
 two-product), and goes in through %s fields; smaller blocks, and any block
 holding a NaN or an infinity, keep their %.17g fields, so the final check names
-the first non-finite value in report order.
+the first non-finite value in report order.  The kernel's rare fix-ups (a decade
+that log10 missed, a borrow or carry between the digit halves, a round up to the
+next decade, a last 4-digit group of 0) run only on the cells that need them.
 Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
@@ -95,8 +97,10 @@ def parse_request(data, *, geometry: str | None = None) -> SolveRequest:
     if not isinstance(lengths, list) or not lengths:
         raise RequestError("\"lengths\" must be a non-empty array of numbers")
     try:
-        if set(map(type, lengths)) <= {float, int}:  # checked in bulk
-            return SolveRequest(geometry=geo, lengths=list(map(float, lengths)))
+        types = set(map(type, lengths))
+        if types <= {float, int}:  # checked in bulk; an all-float list is copied as is
+            values = list(lengths) if types == {float} else list(map(float, lengths))
+            return SolveRequest(geometry=geo, lengths=values)
         values = []
         for v in lengths:  # one at a time, to name the first bad entry
             if isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is not Real
@@ -360,6 +364,8 @@ _ROW = 48
 #: the row mask of a cell that % writes, after the (sign, exponent, digits) masks
 _SLOW = 2 * 21 * 18
 _POW10 = np.array([float(10**k) for k in range(21)])  # all exact
+#: the codes 0, 1, ..., k - 1, 0, 1, ... of k columns: a chunk's start at any offset below k
+_codes = functools.cache(lambda k: (np.arange(_CHUNK + k) % k).astype(np.uint8))
 
 
 def _split(a: np.ndarray) -> tuple:
@@ -422,26 +428,29 @@ def _digits(v: np.ndarray) -> tuple:
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p, e = _scaled(a, x)
-    # where log10 missed the decade, redo with the one next to it
-    low = (p < 1e16) | ((p == 1e16) & (e < 0))
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    redo = np.flatnonzero(low | high)
+    # where log10 missed the decade, redo with the one next to it; only p at an
+    # end of the decade's range can have missed, so only those take the exact test
+    near = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    pn, en = p[near], e[near]
+    step = ((pn > 1e17) | ((pn == 1e17) & (en >= 0))) * 1
+    step -= (pn < 1e16) | ((pn == 1e16) & (en < 0))
+    redo = near[step != 0]
     if redo.size:
-        x[redo] += high[redo].astype(np.intp) - low[redo]
+        x[redo] += step[step != 0]
         miss = redo[(x[redo] < -4) | (x[redo] > 16)]
         fast[miss], x[miss], a[miss] = False, 0, 1.0
         p[redo], e[redo] = _scaled(a[redo], x[redo])
     # the 17-digit integer as hi * 1e8 + lo, each part exact in floats
     hi = np.floor(p * 1e-8)
     lo = (p - hi * 1e8) + np.rint(e)
-    under, over = lo < 0.0, lo >= 1e8
-    hi += over
-    hi -= under
-    lo += (under * 1.0 - over) * 1e8
-    carry = hi == 1e9  # rounded to 10**17: the next decade
-    x += carry
+    fix = np.flatnonzero((lo < 0.0) | (lo >= 1e8))
+    step = (lo[fix] >= 1e8) * 1.0 - (lo[fix] < 0.0)
+    hi[fix] += step
+    lo[fix] -= step * 1e8
+    carry = np.flatnonzero(hi == 1e9)  # rounded to 10**17: the next decade
+    x[carry] += 1
     hi[carry] = 1e8
-    fast &= x <= 16
+    fast[carry[x[carry] > 16]] = False
     d0 = np.floor(hi * 1e-8)
     hi -= d0 * 1e8
     g = np.empty((4, v.size))
@@ -450,10 +459,15 @@ def _digits(v: np.ndarray) -> tuple:
     g[2] = np.floor(lo * 1e-4)
     g[3] = lo - g[2] * 1e4
     g = g.astype(np.intp)
-    z = _tables()[1].take(g)
-    kept = 1 + z[0]
-    for j in (1, 2, 3):
-        np.copyto(kept, 4 * j + 1 + z[j], where=z[j] > 0)
+    # the digits left once trailing zeros go: the last group's, or where it is 0, the others'
+    table = _tables()[1]
+    kept = 13 + table.take(g[3])
+    zero = np.flatnonzero(g[3] == 0)
+    if zero.size:
+        z = table.take(g[:3, zero])
+        kept[zero] = 1 + z[0]
+        for j in (1, 2):
+            kept[zero[z[j] > 0]] = 4 * j + 1 + z[j][z[j] > 0]
     key = ((v < 0.0) * 21 + x + 4) * 18 + np.maximum(kept, x + 1)
     key[~fast] = _SLOW
     return key, d0.astype(np.intp), g
@@ -487,11 +501,10 @@ def _block_text(values: np.ndarray, cell: str, pad: str, inner: str) -> list:
     filled from the finite row-major `values`, in parts of one chunk each."""
     head, *within, tail = cell.split("%.17g")
     seps = [f"{tail},\n{inner}{head}".encode(), *(sep.encode() for sep in within)]
-    parts = []
+    parts, cycle = [], _codes(len(seps))
     for start in range(0, values.size, _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        codes = np.arange(start, start + chunk.size) % len(seps)
-        parts.append(_format_cells(chunk, codes, seps).decode("ascii"))
+        chunk, at = values[start:start + _CHUNK], start % len(seps)
+        parts.append(_format_cells(chunk, cycle[at:at + chunk.size], seps).decode("ascii"))
     # the first cell has no separator
     parts[0] = f"[\n{inner}{head}" + parts[0][len(seps[0]):]
     parts[-1] += f"{tail}\n{pad}]"

@@ -68,6 +68,10 @@ class TestChordMap:
         chords = hyperbolic.hyp_chord([1.0, 0.5, 3.0])
         assert chords.tolist() == math_chords([1.0, 0.5, 3.0])
         assert chords[0] == 2 * math.sinh(0.5)
+        # 10^4 sides from 1e-300 to 1400, the large-n size
+        rng = np.random.default_rng(0)
+        lengths = np.exp(rng.uniform(math.log(1e-300), math.log(1400.0), 10**4))
+        assert hyperbolic.hyp_chord(lengths).tolist() == math_chords(lengths.tolist())
 
     def test_small_argument_limit(self):
         lengths = [1e-3, 1e-6, 1e-9]
@@ -95,6 +99,11 @@ class TestChordMap:
         [
             ([1, 5e-324, 1500, 1500], "5e-324 is too short"),
             ([1500, 5e-324, 1, 1500], "1500.0 is too long"),
+            # 10^4 sides, the bad ones first and last
+            ([5e-324] + [1.0] * 9998 + [1500.0], "5e-324 is too short"),
+            ([1500.0] + [1.0] * 9998 + [5e-324], "1500.0 is too long"),
+            ([1.0] * 9999 + [5e-324], "5e-324 is too short"),
+            ([1.0] * 9999 + [1500.0], "1500.0 is too long"),
         ],
     )
     def test_first_bad_side_in_caller_order(self, lengths, named):

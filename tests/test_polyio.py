@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import dataclasses
+import fractions
 import io
 import json
 import math
@@ -78,6 +79,17 @@ class TestParseRequest:
         lengths = json.loads(text)
         with pytest.raises(polyio.RequestError, match=message):
             polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
+
+    def test_lengths_are_copied(self):
+        # an all-float list comes back as an equal new list, which the caller's
+        # later writes do not reach; a mixed list comes back as exact floats
+        lengths = [3.0, 4.0, 5.0]
+        req = polyio.parse_request({"geometry": "euclidean", "lengths": lengths})
+        assert req.lengths == lengths and req.lengths is not lengths
+        lengths[0] = 100.0
+        assert req.lengths == [3.0, 4.0, 5.0]
+        req = polyio.parse_request({"geometry": "euclidean", "lengths": [3, 4.5, 2**53 + 1]})
+        assert req.lengths == [3.0, 4.5, 2.0**53] and all(type(x) is float for x in req.lengths)
 
     def test_library_float_types(self):
         for lengths, expected in [
@@ -635,6 +647,49 @@ def _around(values, ulps: int) -> np.ndarray:
     return np.concatenate((near, -near))
 
 
+def _takes_decade_test(v: np.ndarray) -> np.ndarray:
+    """Whether _digits's first decade guess leaves each cell at an end of the
+    decade's range, where the exact low/high test runs; a cell that % writes
+    goes through as 1.0."""
+    a = np.abs(v)
+    a = np.where((a >= 1e-4) & (a < 1e17), a, 1.0)
+    p, _ = polyio._scaled(a, np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp))
+    return (p <= 1e16) | (p >= 1e17)
+
+
+def _seventeen_digits(x: float) -> tuple:
+    """The 17-digit integer and the decade of "%.17g" % x."""
+    digits, exp = ("%.16e" % abs(x)).split("e")
+    return int(digits.replace(".", "")), int(exp)
+
+
+def _takes_lo_correction(x: float) -> bool:
+    """Whether hi = floor(p * 1e-8), p = |x| * 10**(16 - X) rounded, misses the
+    first nine of the 17 digits, so that lo borrows from or carries into hi."""
+    n, exp = _seventeen_digits(x)
+    p = float(fractions.Fraction(abs(x)) * fractions.Fraction(10) ** (16 - exp))
+    return math.floor(p * 1e-8) != n // 10**8
+
+
+def _fix_up_cells(fix_up: str, rng) -> tuple:
+    """Cells that take the fix-up, and whether each value of an array takes it."""
+    if fix_up == "decade-redo":
+        powers = np.array([10.0**k for k in range(-4, 17)])
+        cells = np.concatenate((powers, np.nextafter(powers, 0.0)))
+        return cells[_takes_decade_test(cells)], _takes_decade_test
+    if fix_up == "lo-correction":
+        k, x = rng.integers(10**8, 10**9, 5000), rng.integers(-4, 17, 5000)
+        near = (k * 1e8) * 10.0 ** (x - 16)  # near a 17-digit integer with lo = 0
+        cells = np.concatenate((near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)))
+        takes = np.vectorize(_takes_lo_correction, otypes=[bool])
+        return cells[takes(cells)], takes
+    # integers times 10**4, whose integer digits hide the kept count, and short
+    # decimals, whose kept count decides where the text ends
+    cells = rng.integers(1, 10**12, 4000) * 10.0 ** rng.integers(-12, 5, 4000)
+    takes = np.vectorize(lambda x: _seventeen_digits(x)[0] % 10**4 == 0, otypes=[bool])
+    return np.concatenate((rng.integers(1, 10**12, 1000) * 1e4, cells[takes(cells)])), takes
+
+
 class TestBlockKernel:
     """A finite block of at least polyio._BLOCK_CUTOFF cells is written by a numpy
     kernel, byte for byte as the %.17g fields of smaller blocks write it."""
@@ -704,6 +759,24 @@ class TestBlockKernel:
         # three columns stored column by column: chunks end inside a row
         for obj in (v, v.reshape(-1, 1), np.asfortranarray(np.stack((v, -v, 0.5 * v), axis=1))):
             assert polyio.dumps_report({"a": obj}) == _oracle_dumps({"a": obj.tolist()})
+
+    @pytest.mark.parametrize("every", [True, False], ids=["every-cell", "no-cell"])
+    @pytest.mark.parametrize("fix_up", ["decade-redo", "lo-correction", "last-group-0"])
+    def test_fix_up_on_every_or_no_cell_of_a_chunk(self, fix_up, every):
+        # each fix-up of _digits runs on the subset of a chunk's cells that need it:
+        # a whole chunk of them, or none.  The carry to the next decade has no case:
+        # the nearest float below a power of ten from 1e-3 to 1e17 is at least 8e-17
+        # of it away, more than the 5e-18 that rounds 17 digits up to it, so its
+        # subset is empty in every chunk
+        rng = np.random.default_rng(3)
+        cells, takes = _fix_up_cells(fix_up, rng)
+        if not every:
+            cells = rng.uniform(1.5, 9.5, 5000) * 10.0 ** rng.integers(-4, 17, 5000)
+            cells = cells[~takes(cells)]
+        assert cells.size >= 20
+        chunk = np.resize(cells, polyio._CHUNK) * rng.choice([-1.0, 1.0], polyio._CHUNK)
+        assert (takes(chunk) == every).all()
+        _assert_block_kernel_writes_percent(chunk)
 
     def test_non_finite_block_names_the_first_non_finite_value(self):
         m = np.ones((400, 2))
