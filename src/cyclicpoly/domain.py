@@ -14,9 +14,10 @@ TWO_PI = 2.0 * math.pi
 #: absolute tolerance on sum(angles) == 2*pi
 ANGLE_SUM_TOL = 1e-12
 
-#: the sizes from which fsum and prefix_sums run in numpy: faster than math.fsum
-#: from about 700 entries, and than the two-sum loop from about 80 marks
-FSUM_CUTOFF, PREFIX_CUTOFF = 700, 80
+#: the sizes from which fsum and prefix_sums run in numpy: an fsum that takes its
+#: early exit beats math.fsum from about 350-400 entries (one too wide for it, from
+#: about 500), and prefix_sums beats the two-sum loop from about 80 marks
+FSUM_CUTOFF, PREFIX_CUTOFF = 450, 80
 
 
 def fsum(x: np.ndarray, *more: float) -> float:
@@ -25,40 +26,52 @@ def fsum(x: np.ndarray, *more: float) -> float:
 
     From FSUM_CUTOFF entries, up to three error-free extraction passes (Rump, Ogita
     and Oishi, SIAM J. Sci. Comput. 31, 2008) split off parts q = (sigma + x) - sigma,
-    sigma = 2**(e + bit_length(n + 2)) with max|x| < 2**e, which numpy sums exactly in
-    any order; math.fsum rounds the part sums, the nonzero remainders and ``more``
+    sigma = 2**(e + shift) with max|x| < 2**e and shift = bit_length(n + 2), which
+    numpy sums exactly in any order.  The remainder's entries are multiples of
+    ulp(min|x|) below 2**(e + shift - 53), so numpy sums it exactly too once e is at
+    most 53 - 2 * shift above the exponent of min|x| (never where x holds a 0): the
+    early exit, after the first pass for the solvers' vectors.  math.fsum rounds the
+    part sums, the remainder (or, past three passes, its nonzero entries) and ``more``
     once.  A NaN, an infinity or a zero maximum, or a sigma past 2**1023, goes to
     math.fsum as is.
     """
-    if x.size < FSUM_CUTOFF:
+    if x.size < FSUM_CUTOFF or (parts := _parts(x)) is None:
         terms = x.tolist()
         if more:
             terms.extend(more)
         return math.fsum(terms)
+    return math.fsum([*parts, *more])
+
+
+def _parts(x: np.ndarray) -> list | None:
+    """Floats summing exactly to the sum of x, by fsum's extraction passes, or
+    None where x goes to math.fsum as is."""
     shift = (x.size + 2).bit_length()
-    m = float(np.abs(x).max())
+    a = np.abs(x)
+    m, low = float(a.max()), float(a.min())
     if not 0.0 < m < math.ldexp(1.0, 1023 - shift):
-        return math.fsum([*x.tolist(), *more])
+        return None
+    last = math.frexp(low)[1] + 53 - 2 * shift if low else -math.inf  # largest e to exit
     parts = []
     for _ in range(3):
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+        e = math.frexp(m)[1]
+        sigma = math.ldexp(1.0, e + shift)
         q = (x + sigma) - sigma
         x = x - q
         parts.append(float(q.sum()))
-        m = float(np.abs(x).max())
-        if m == 0.0:
-            break
-    parts.extend(x[x != 0.0].tolist())
-    parts.extend(more)
-    return math.fsum(parts)
+        if e <= last or not (m := float(np.abs(x).max())):
+            return [*parts, float(x.sum())]
+    return [*parts, *x[x != 0.0].tolist()]
 
 
 def excess(v: np.ndarray, m: int) -> float:
-    """v[m] minus the fsum of the other entries of v."""
-    if v.size < FSUM_CUTOFF:
+    """v[m] minus the fsum of the other entries of v: from FSUM_CUTOFF entries,
+    fsum's parts of all of v and -v[m], rounded once by math.fsum, without a copy
+    of the rest.  Where no split applies, the rest goes to math.fsum."""
+    if v.size < FSUM_CUTOFF or (parts := _parts(v)) is None:
         rest = v.tolist()
         return rest.pop(m) - math.fsum(rest)
-    return float(v[m]) - fsum(np.delete(v, m))
+    return float(v[m]) - math.fsum([*parts, -float(v[m])])
 
 
 def prefix_sums(marks) -> tuple[np.ndarray, np.ndarray]:

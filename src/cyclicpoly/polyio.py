@@ -25,8 +25,8 @@ numpy kernel, byte for byte as %.17g writes it (exact digits from Dekker's
 two-product), and goes in through %s fields; smaller blocks, and any block
 holding a NaN or an infinity, keep their %.17g fields, so the final check names
 the first non-finite value in report order.  The kernel's rare fix-ups (a decade
-that log10 missed, a borrow or carry between the digit halves, a round up to the
-next decade, a last 4-digit group of 0) run only on the cells that need them.
+that log10 missed, a borrow or carry between the digit halves, a last 4-digit
+group of 0) run only on the cells that need them.
 Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
@@ -422,7 +422,7 @@ def _digits(v: np.ndarray) -> tuple:
     For 1e-4 <= |x| < 1e17, x * 10**(16 - X) with X = floor(log10|x|) is an exact
     p + e, whose p is an even integer; p + rint(e) is then the 17-digit integer,
     rounded half to even as dtoa rounds it (D. M. Gay, 1990).  The other cells,
-    0, |x| < 1e-4 and values that round to 1e17 or more, get the key _SLOW."""
+    0, |x| < 1e-4 and |x| >= 1e17, get the key _SLOW."""
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)
     a = np.where(fast, a, 1.0)
@@ -440,17 +440,14 @@ def _digits(v: np.ndarray) -> tuple:
         miss = redo[(x[redo] < -4) | (x[redo] > 16)]
         fast[miss], x[miss], a[miss] = False, 0, 1.0
         p[redo], e[redo] = _scaled(a[redo], x[redo])
-    # the 17-digit integer as hi * 1e8 + lo, each part exact in floats
+    # the 17-digit integer as hi * 1e8 + lo, each part exact in floats; it stays
+    # below 10**17, as no float lies within 5e-18 * 10**j below 10**j, j = -3..17
     hi = np.floor(p * 1e-8)
     lo = (p - hi * 1e8) + np.rint(e)
     fix = np.flatnonzero((lo < 0.0) | (lo >= 1e8))
     step = (lo[fix] >= 1e8) * 1.0 - (lo[fix] < 0.0)
     hi[fix] += step
     lo[fix] -= step * 1e8
-    carry = np.flatnonzero(hi == 1e9)  # rounded to 10**17: the next decade
-    x[carry] += 1
-    hi[carry] = 1e8
-    fast[carry[x[carry] > 16]] = False
     d0 = np.floor(hi * 1e-8)
     hi -= d0 * 1e8
     g = np.empty((4, v.size))

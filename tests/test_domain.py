@@ -212,6 +212,71 @@ class TestExcess:
             assert excess(v, m).hex() == (v[m] - math.fsum(rest)).hex()
 
 
+def _spanning(n: int, span: int, low: int, signs: bool, zeros: bool, rng) -> np.ndarray:
+    """n entries whose smallest and largest magnitudes are 2**low and 0.75 *
+    2**(low + span + 1), frexp exponents span apart, with random signs, or 3
+    zeros, if asked."""
+    e = rng.integers(low + 2, low + span + 1, n)
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), e)
+    x[:2] = 0.75 * 2.0 ** (low + span + 1), 2.0**low
+    if signs:
+        x *= rng.choice([-1.0, 1.0], n)
+    if zeros:
+        x[rng.integers(2, n, 3)] = 0.0
+    return x
+
+
+def _exact(x) -> Fraction:
+    return sum(map(Fraction, np.asarray(x).tolist()), Fraction(0))
+
+
+class TestEarlyExit:
+    """From FSUM_CUTOFF entries, fsum stops after the first extraction pass where x
+    spans at most 53 - 2 * bit_length(n + 2) binades: the remainder sums exactly."""
+
+    @pytest.mark.parametrize("n", [FSUM_CUTOFF - 1, FSUM_CUTOFF, 10**4])
+    @pytest.mark.parametrize("wider", [0, 1], ids=["at-the-span", "one-binade-more"])
+    @pytest.mark.parametrize("low", [-20, -1060], ids=["normal", "subnormal"])
+    @pytest.mark.parametrize("signs", [False, True], ids=["positive", "mixed"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+    def test_parts_are_exact_and_the_exit_taken_where_it_holds(self, n, wider, low, signs, zeros):
+        shift = (n + 2).bit_length()
+        rng = np.random.default_rng([n, wider, -low, signs, zeros])
+        x = _spanning(n, 53 - 2 * shift + wider, low, signs, zeros, rng)
+        a = np.abs(x[x != 0.0])
+        assert math.frexp(a.max())[1] - math.frexp(a.min())[1] == 53 - 2 * shift + wider
+        parts = domain._parts(x)
+        assert _exact(parts) == _exact(x)
+        # the first pass, replayed: the part and, at the exit, the remainder
+        sigma = 2.0 ** (math.frexp(float(np.abs(x).max()))[1] + shift)
+        q = (x + sigma) - sigma
+        assert Fraction(parts[0]) == _exact(q)
+        exits = not (wider or zeros)
+        assert (len(parts) == 2) == exits
+        if exits:
+            assert Fraction(parts[1]) == _exact(x - q)
+        assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+        assert fsum(x, -0.5, 2.0**-70).hex() == math.fsum(x.tolist() + [-0.5, 2.0**-70]).hex()
+        for m in (0, -1, int(x.argmax()), n // 2):
+            assert excess(x, m).hex() == (x[m] - math.fsum(np.delete(x, m).tolist())).hex()
+
+    def test_a_sum_past_the_float_maximum_keeps_its_path(self):
+        # the whole sum passes the float maximum, the rest without the first
+        # entry does not: no split, and excess takes math.fsum of the rest
+        v = np.array([1.7e308, 1e308] + [1.0] * 1000)
+        assert domain._parts(v) is None
+        with pytest.raises(OverflowError):
+            fsum(v)
+        want = (1.7e308 - math.fsum(v[1:].tolist())).hex()
+        assert excess(v, 0).hex() == want
+        assert dominance(v)[0] == 0 and dominance(v)[1].hex() == want
+        # the rest passes it too: dominance's margin in units of 2**k
+        v = np.array([1.5e308, 1e308, 1e308] + [1.0] * 1000)
+        with pytest.raises(OverflowError):
+            excess(v, 0)
+        assert dominance(v) == (0, float(Fraction(1.5e308) - _exact(v[1:])))
+
+
 class TestColumns:
     @pytest.mark.parametrize("n", [1, 3, 1000])
     def test_column_major_matrix_of_its_columns(self, n):
