@@ -67,11 +67,11 @@ class ReverseInequalityError(InfeasibleError):
 class NearDegenerateError(InfeasibleError):
     """The circumradius, or a vertex coordinate, passes the float range.
 
-    Raised for inputs that satisfy the polygon inequalities by less than
-    roughly machine precision, where no meaningful solution can be computed,
-    and for vertices that lie too far out along a hypercycle, horocycle or
+    Raised for vertices that lie too far out along a hypercycle, horocycle or
     hyperbola, a Minkowski radius too small, a hypercycle too close to its
-    axis, or a side too short for its chord, to be represented.
+    axis, or a side too short for its chord or central angle, to be
+    represented.  Near-flat input is not refused as such: a polygon strict by
+    one ulp is solved.
     """
 
     code = "near_degenerate"

@@ -14,17 +14,15 @@ The split is decided at the smallest admissible radius R0 = l_max/2 by
 comparing sum_{k != m} arcsin(l_k / l_m) with pi/2.  Each branch is solved
 by safeguarded Newton (rootfind.bisect_newton) in t = sqrt(R - R0), where
 the equation has no square-root singularity, on a bracket of closed-form
-bounds (radius_bounds): inside, R lies in [max(P/2pi, R0), P/4] for the
-perimeter P, by arcsin x >= x and Jordan's arcsin x <= pi x/2; outside, in
-[R0, l_max / 2y], where y solves arcsin(y)/y = (sum of the others)/l_max,
-the equation with the other sides linearized.  Newton starts at the end
-whose defect is smaller, which on large polygons is P/2pi, within a few
-millionths of the root.  A bound can lie within rounding of the root (the
-outside upper one nears it as the sides grow in number); where rounding
-takes the sign of its defect, or leaves the upper one's within rounding of
-0, the solve falls back to R0 below and to _far_radius above.  A polygon
-exists iff every side is strictly shorter than the sum of the others, and
-it is unique.
+bounds (radius_bounds), from the end whose defect is smaller: on large
+polygons P/2pi, for the perimeter P, within a few millionths of the root.
+Outside, below l_max / 2R = 1/2, the defect is the margin (sum of the
+others) - l_max over 2R plus the tails arcsin x - x, so its sign holds
+however close to flat the polygon is.  Where rounding takes the sign at
+P/2pi, R0 is the lower end; where the defect at the upper bound is not past
+the root, that bound is the lower end, below far_radius (P/2 inside).  A
+polygon exists iff every side is strictly shorter than the sum of the
+others, and it is unique.
 """
 
 from __future__ import annotations
@@ -37,21 +35,17 @@ import numpy as np
 from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, fsum, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
-from .specfun import sin_ratio_inverse
+from .specfun import TAIL_CUT, inverse_tail, sin_ratio_inverse
 
 __all__ = [
     "EuclideanSolution",
     "check_polygon_inequalities",
     "radius_bounds",
+    "far_radius",
     "solve_euclidean",
     "vertices_on_circle",
     "polygon_area",
 ]
-
-#: bound on the relative rounding error of each computed half angle; a
-#: defect value below this times the sum of the half angles has no sign
-_ANGLE_REL_NOISE = 1e-15
-
 
 @dataclass(frozen=True, eq=False)
 class EuclideanSolution:
@@ -116,26 +110,20 @@ def radius_bounds(lm: float, rest: float, center_inside: bool) -> tuple[float, f
     return 0.5 * lm, 0.5 * lm / math.sin(sin_ratio_inverse(rest, lm))
 
 
-def _far_radius(lm: float, rest: float, mu: float, center_inside: bool) -> float:
-    """A radius past radius_bounds' R_hi at which the defect is as far from 0
-    as the margin mu = rest - lm allows, whatever the number of sides.
-
-    Inside, P/2, where the defect is at most -pi/2 by Jordan's inequality.
-    Outside, lm / 2x at the peak x = sqrt(1 - (lm/rest)^2) of the linearized
-    defect x rest/lm - arcsin x, which bounds the defect from below.
-    """
-    if center_inside:
-        return 0.5 * (lm + rest)
-    return 0.5 * lm * rest / math.sqrt(mu * (rest + lm))
+def far_radius(a: float, b: float) -> float:
+    """a b / 2 sqrt(|a - b| (a + b)), with a the longest side (dominant chord) and
+    b the sum of the others: the peak of the defect (Phi) with the others
+    linearized, a lower bound positive there, so past the root."""
+    big, small = max(a, b), min(a, b)
+    return 0.5 * small / math.sqrt((big - small) / big * (1.0 + small / big))
 
 
 def solve_euclidean(lengths) -> EuclideanSolution:
     """Construct the unique Euclidean cyclic polygon with the given sides.
 
     Raises NoPolygonError when the polygon inequalities fail, and
-    NearDegenerateError when they hold by so little that the defect past the
-    root, at the closed-form upper bound and at _far_radius, is within its
-    rounding error of 0, or when a side's central angle underflows to 0.
+    NearDegenerateError when a side's central angle underflows to 0 or the
+    radius passes the float range.  A polygon strict by one ulp is solved.
     """
     lengths = SideLengths.coerce(lengths)
     m, _ = check_polygon_inequalities(lengths)
@@ -160,6 +148,7 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     sign = np.ones(l.size)
     if not center_inside:
         sign[m] = -1.0
+        mu = fsum(l, -2.0 * lm)  # the sum of the others less lm, rounded once
     sign_half = sign * half
 
     # the last three t: f' follows f at its t, and the root returned is the
@@ -174,10 +163,16 @@ def solve_euclidean(lengths) -> EuclideanSolution:
         return memo[t]
 
     def f(t: float) -> float:
-        a = half_angles(t)[2]
-        # inside, the sum of the half angles less math.pi is rounded once: the
-        # sum rounded on its own would step by ulp(pi) near the root
-        return fsum(a, -math.pi) if center_inside else fsum(sign * a)
+        radius, _, a = half_angles(t)
+        if center_inside:
+            # the sum of the half angles less math.pi is rounded once: the sum
+            # rounded on its own would step by ulp(pi) near the root
+            return fsum(a, -math.pi)
+        if half[m] < TAIL_CUT * radius:
+            # mu / 2R plus the tails arcsin x - x at x = l / 2R: the half angles
+            # summed whole carry an error of eps * sum(x), past f near the root
+            return fsum(sign * inverse_tail(half / radius, False), mu / (2.0 * radius))
+        return fsum(sign * a)
 
     def dfdx(t: float) -> float:
         if t * t == 0.0:
@@ -188,45 +183,24 @@ def solve_euclidean(lengths) -> EuclideanSolution:
         return -2.0 * t / radius * fsum(sign_half / q)
 
     # The bracket ends are radius_bounds.  At R0 (t = 0) f is h0 - pi/2 on
-    # either branch, since the longest side's half angle there is pi/2.
+    # either branch, since the longest side's half angle there is pi/2: f is
+    # past the root where its sign is not that of f0.
     f0 = h0 - 0.5 * math.pi
     rest = fsum(l, -lm)
     r_lo, r_hi = radius_bounds(lm, rest, center_inside)
     t = t_lo = math.sqrt(r_lo - r0)
     f_lo = f(t_lo) if t_lo > 0.0 else f0
-    if (f_lo < 0.0) != (f0 < 0.0):
-        # rounding took the sign at P/2pi, within rounding of the root: R0 is
-        # the lower end instead
+    if (f_lo < 0.0) != (f0 < 0.0):  # rounding took the sign at P/2pi: R0 is the lower end
         t = t_lo = 0.0
         f_lo = f0
     iterations = 0
     if f_lo != 0.0:
-        upper = -1.0 if center_inside else 1.0  # the sign of f past the root
-
-        def resolved(t: float, v: float) -> bool:
-            # v has the sign of f past the root by more than the rounding of
-            # the half angles (their sum, plus pi inside, is v + 2 pi inside
-            # and v + 2 a_m outside)
-            a_m = math.pi if center_inside else float(half_angles(t)[2][m])
-            return upper * v > _ANGLE_REL_NOISE * (v + 2.0 * a_m)
-
         t_hi = math.sqrt(r_hi - r0)
-        f_hi = f(t_hi)
-        if not resolved(t_hi, f_hi):
-            # R_hi nears the root as the sides grow in number, until f there
-            # is within rounding of 0 or past it; the root is resolved iff f is
-            # at the far radius
-            r_far = _far_radius(lm, rest, fsum(l, -2.0 * lm), center_inside)
-            t_far = math.sqrt(r_far - r0)
-            f_far = f(t_far)
-            if not resolved(t_far, f_far):
-                raise NearDegenerateError(
-                    f"the defect at radius {math.ldexp(r_far, scale):g}, past the root, is "
-                    "within rounding of 0; the input is degenerate to working precision",
-                    index=m,
-                )
-            if not upper * f_hi > 0.0:
-                t_hi, f_hi = t_far, f_far
+        if ((f_hi := f(t_hi)) < 0.0) == (f0 < 0.0):
+            # R_hi nears the root as the sides grow in number; short of it, the lower end
+            t_lo, f_lo = t_hi, f_hi
+            t_hi = math.sqrt((0.5 * (lm + rest) if center_inside else far_radius(lm, rest)) - r0)
+            f_hi = f(t_hi)
         res = bisect_newton(f, t_lo, t_hi, dfdx=dfdx, f_lo=f_lo, f_hi=f_hi)
         t = res.root
         iterations = res.iterations
@@ -235,6 +209,8 @@ def solve_euclidean(lengths) -> EuclideanSolution:
     if not a.all():
         k = int(np.argmin(a))
         raise NearDegenerateError(f"side {k} is too short for its central angle", index=k)
+    if math.frexp(radius)[1] + scale > 1024:
+        raise NearDegenerateError("the circumradius passes the float range", index=m)
     radius = math.ldexp(radius, scale)
     alpha = 2.0 * a
     if not center_inside:

@@ -26,11 +26,10 @@ Constructions, one per class:
       Phi(x) = arsinh(lbar_n / 2x) - sum_{k<n} arsinh(lbar_k / 2x),
 
   found by safeguarded Newton to 1e-12 relative (Phi(1) is half the
-  negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero).
-  The bracket is [1, axis_bound]: as arsinh y <= y, Phi is positive from the
-  x at which it is with the other chords linearized on, a closed form in the
-  dominant chord and the sum of the others, and Newton starts at the end
-  where |Phi| is smaller.  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar)
+  negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero)
+  between 1 and the closed-form axis_bound, from the end where |Phi| is
+  smaller; near the existence threshold phi splits off the chord margin, so
+  that its sign is right.  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar)
   then mark the vertex feet along the axis geodesic, and vertices are
   (Rbar sinh t, sinh R, Rbar cosh t).  This Phi step, bracket, root and
   placement, is solve_on_axis; minkowski's hyperbola takes it too, halving
@@ -61,9 +60,9 @@ import numpy as np
 from .domain import CentralAngles, FootDistances, SideLengths, columns, dominance, excess
 from .domain import fsum, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
-from .euclidean import check_polygon_inequalities, solve_euclidean
+from .euclidean import check_polygon_inequalities, far_radius, solve_euclidean
 from .rootfind import bisect_newton
-from .specfun import sinh_ratio_inverse
+from .specfun import TAIL_CUT, inverse_tail, sinh_ratio_inverse
 
 __all__ = [
     "CIRCLE",
@@ -191,8 +190,19 @@ def _shared_feet(chords: SideLengths, x: float) -> np.ndarray:
 
 
 def phi(x: float, chords) -> float:
-    """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last."""
-    return excess(_shared_feet(SideLengths.coerce(chords), float(x)), -1)
+    """Defect Phi(x) = arsinh(c_n/2x) - sum_{k<n} arsinh(c_k/2x), dominant last.
+
+    Where c_n/2x is below TAIL_CUT, it is margin/2x plus the tails arsinh y - y
+    at y = c/2x, with the margin c_n - sum_{k<n} c_k rounded once: the half feet
+    summed whole carry an error of eps * sum(y), past Phi near its zero.
+    """
+    c = SideLengths.coerce(chords)
+    feet = _shared_feet(c, float(x))
+    if feet[-1] >= math.asinh(TAIL_CUT):
+        return excess(feet, -1)
+    margin = -fsum(c.values[:-1], -c.values[-1])
+    # x > c_n here, so no c / x overflows
+    return excess(inverse_tail(0.5 * (c.values / x), True), -1) + 0.5 * (margin / x)
 
 
 def phi_prime(x: float, chords) -> float:
@@ -264,9 +274,9 @@ def solve_on_axis(chords, dom: int, floor: float):
 
     The upper end is axis_bound.  The lower end starts at 1; while
     Phi(lo) >= 0, or lo is not below the upper end, lo becomes the upper end
-    (Phi at the bound is then never taken) and is halved.  Raises
-    NearDegenerateError (``index`` dom) where Phi is not positive at the bound
-    nor at the peak of its linearized lower bound, where lo <= floor must
+    (Phi at the bound is then never taken) and is halved.  Where Phi at the
+    bound is not positive, the bound is the lower end and far_radius the upper
+    one.  Raises NearDegenerateError (``index`` dom) where lo <= floor must
     move, as at x = 1 for a hypercycle within rounding of its axis, or where
     c_dom / 2x passes the float range at either end.
     """
@@ -298,18 +308,10 @@ def solve_on_axis(chords, dom: int, floor: float):
         lo = 0.5 * min(lo, c_dom)
         refuse_below(lo)
     if f_hi is None and not (f_hi := phi(hi, rot)) > 0.0:
-        # the bound nears the zero as the chords grow in number, until rounding
-        # takes the sign of Phi there; Phi is at least its linearized lower
-        # bound arsinh(c_dom / 2x) - rest / 2x, which peaks further out, at
-        # x = c_dom rest / 2 sqrt(c_dom^2 - rest^2)
-        gap = c_dom - rest
-        hi = 0.5 * c_dom * rest / math.sqrt(gap * (c_dom + rest)) if gap > 0.0 else math.inf
-        if not (f_hi := phi(hi, rot)) > 0.0:
-            raise NearDegenerateError(
-                f"Phi at radius {hi:g}, past its zero, is not positive: the input is "
-                "degenerate to working precision",
-                index=dom,
-            )
+        # the bound nears the zero as the chords grow in number; short of it, the lower end
+        lo, f_lo = hi, f_hi
+        hi = far_radius(c_dom, rest)
+        f_hi = phi(hi, rot)
     res = bisect_newton(
         lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),
         rel_tol=_PHI_REL_TOL, f_lo=f_lo, f_hi=f_hi,

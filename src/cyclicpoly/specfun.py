@@ -9,9 +9,10 @@ its hyperbolic analogue
     Clh2(x) = -integral_0^x log|2 sinh(t/2)| dt,
 
 Milnor's Lobachevsky function Cl2(2x)/2, and the Kullback-Leibler
-divergence between discrete distributions.  It also inverts x / sin(x) on
-(0, pi/2] and sinh(x) / x on (0, inf), the ratios whose levels bound the
-radius roots of the chordal solvers in closed form.
+divergence between discrete distributions.  For the radius roots of the
+chordal solvers it inverts x / sin(x) on (0, pi/2] and sinh(x) / x on
+(0, inf), whose levels bound them in closed form, and sums the tails
+arcsin x - x and arsinh x - x, of their defects near the existence threshold.
 
 Cl2 is evaluated by reducing the argument mod 2*pi to (-pi, pi] and summing
 the log-corrected series
@@ -46,6 +47,7 @@ __all__ = [
     "kl_divergence",
     "sin_ratio_inverse",
     "sinh_ratio_inverse",
+    "inverse_tail",
 ]
 
 _PI_SQ_6 = math.pi * math.pi / 6.0
@@ -94,6 +96,11 @@ _ODD_TAIL = tuple(1.0 / math.factorial(2 * k + 1) for k in range(13, 0, -1))
 
 #: Newton steps of the ratio inverses; from their starts a few suffice
 _RATIO_STEPS = 40
+
+#: C(2n, n) / (4^n (2n + 1)), n = 1..29: arcsin x = x + sum c_n x^(2n+1), and
+#: arsinh x the same with signs (-1)^n; below TAIL_CUT, 29 terms suffice
+_ASIN_COEFFS = tuple(math.comb(2 * n, n) / (4**n * (2 * n + 1)) for n in range(1, 30))
+TAIL_CUT = 0.5
 
 
 def _require_finite(x, name: str = "x") -> float:
@@ -305,3 +312,17 @@ def sinh_ratio_inverse(a: float, b: float) -> float:
         lambda x: (x - _LN2 + math.log1p(-math.exp(-2.0 * x)) - math.log(x) - level)
         / (1.0 / math.tanh(x) - 1.0 / x),
     )
+
+
+def inverse_tail(x: np.ndarray, hyperbolic: bool) -> np.ndarray:
+    """arsinh x - x (hyperbolic) or arcsin x - x, entrywise for 0 <= x < TAIL_CUT, to a
+    few ulps: x^3 (1/6 -+ 3x^2/40 + ...), up to the first power of max x^2 below 1e-17."""
+    z = x * x
+    top = float(z.max())
+    k = next((k for k in range(1, len(_ASIN_COEFFS)) if top**k <= 1e-17), len(_ASIN_COEFFS))
+    w = -z if hyperbolic else z
+    s = np.full_like(z, _ASIN_COEFFS[k - 1])
+    for c in reversed(_ASIN_COEFFS[: k - 1]):  # Horner, in place
+        s *= w
+        s += c
+    return x * (w * s)

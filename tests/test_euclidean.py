@@ -9,7 +9,7 @@ from cyclicpoly import euclidean, polyio
 from cyclicpoly.domain import TWO_PI
 from cyclicpoly.errors import DomainError, NearDegenerateError, NoPolygonError
 
-from oracles import euclidean_radius_bisect, strict_lengths
+from oracles import euclidean_radius_bisect, quadrilateral_radius, strict_lengths
 
 
 class TestPolygonInequalities:
@@ -205,8 +205,8 @@ class TestSolveProperties:
 
     def test_long_side_beside_many_short_ones_solves(self):
         # the center is outside by a margin of 1e-5 over 10^5 short sides: the
-        # upper bound lies so close to the root that the defect there is
-        # within its rounding estimate, yet the root is well conditioned
+        # upper bound lies 5e-11 (relative) past the root, and the root is well
+        # conditioned
         n, short = 100_000, 1.00001e-5
         sol = euclidean.solve_euclidean([1.0] + [short] * n)
         assert not sol.center_inside
@@ -220,17 +220,25 @@ class TestSolveProperties:
             lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
         assert sol.radius == pytest.approx(lo, rel=1e-10)
 
-    def test_near_degenerate_error(self):
-        # strict by one ulp of the fsum margin: the circumradius overflows
-        # any certifiable range and the solver must fail crisply
-        with pytest.raises(NearDegenerateError):
-            euclidean.solve_euclidean([1.0, 1.0, 1.0, 2.9999999999999996])
+    def test_strict_by_one_ulp_solves(self):
+        # the longest side is one ulp short of the sum of the others: the
+        # defect near the root is the margin over 2R plus cubic tails, whose
+        # sign is exact, and R = 47,453,132.81 is Parameshvara's
+        lengths = [1.0, 1.0, 1.0, 2.9999999999999996]
+        radius = euclidean.solve_euclidean(lengths).radius
+        assert abs(radius / quadrilateral_radius(lengths) - 1.0) <= 1e-14
+
+    def test_radius_past_the_float_range_is_near_degenerate(self):
+        # strict by one ulp at 1e307: R is about 1.5e7 times the longest side
+        with pytest.raises(NearDegenerateError, match="circumradius passes the float range"):
+            euclidean.solve_euclidean([1e307, 1e307, 1.9999999999999997e307])
 
 
 class TestBoundsPastTheRoot:
     """Rounding can take the defect at a closed-form bound past 0 where the
-    bound lies within rounding of the root; the solve then brackets from R0
-    below and from the far radius above, as a bound moved past the root shows."""
+    bound lies within rounding of the root.  A lower bound past the root gives
+    way to R0; an upper bound short of it becomes the lower end, below
+    far_radius (P/2 inside), as a bound moved past the root shows."""
 
     @pytest.mark.parametrize("lengths", [[0.9, 0.6, 0.7, 0.5], [0.9, 0.3, 0.3, 0.35]])
     @pytest.mark.parametrize("end, shift", [(0, 1e-6), (1, -1e-6)])

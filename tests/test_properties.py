@@ -423,6 +423,8 @@ def test_radius_bounds_bracket_the_root(l):
     inside = math.fsum(np.arcsin(others / l[m]).tolist()) >= 0.5 * math.pi
     lo, hi = euclidean.radius_bounds(float(l[m]), rest, inside)
     assert lo <= euclidean_radius_bisect(l) <= hi
+    # the far end, where the upper bound is not past the root, is past it too
+    assert inside or hi <= euclidean.far_radius(float(l[m]), rest)
 
 
 @given(small_hypercycles())
@@ -430,8 +432,9 @@ def test_radius_bounds_bracket_the_root(l):
 def test_axis_bound_brackets_the_hypercycle_root(hypercycle):
     _, cls = hypercycle
     rot = cls.chords[hyperbolic.dominant_last(cls.index, cls.chords.size)]
-    bound = hyperbolic.axis_bound(float(rot[-1]), math.fsum(rot[:-1].tolist()))
-    assert 1.0 < phi_root_bisect(rot, 1.0, 2.0) <= bound
+    rest = math.fsum(rot[:-1].tolist())
+    bound = hyperbolic.axis_bound(float(rot[-1]), rest)
+    assert 1.0 < phi_root_bisect(rot, 1.0, 2.0) <= bound <= euclidean.far_radius(float(rot[-1]), rest)
 
 
 # spacetime polygons of the small-request envelope: one side f times the sum of
@@ -450,5 +453,37 @@ def spacetime_polygons(draw):
 def test_axis_bound_brackets_the_hyperbola_radius(l):
     dom = int(np.argmax(l))
     rot = l[hyperbolic.dominant_last(dom, l.size)]
-    bound = hyperbolic.axis_bound(float(rot[-1]), math.fsum(rot[:-1].tolist()))
-    assert phi_root_bisect(rot, 1e-3 * bound, bound) <= bound
+    rest = math.fsum(rot[:-1].tolist())
+    bound = hyperbolic.axis_bound(float(rot[-1]), rest)
+    assert phi_root_bisect(rot, 1e-3 * bound, bound) <= bound <= euclidean.far_radius(float(rot[-1]), rest)
+
+
+# Near the existence threshold, at gaps 10**-k: the defect near the root is the
+# margin over 2R plus cubic tails, summed apart, so the radius keeps its
+# relative accuracy however close to flat the polygon is
+NEAR_THRESHOLD_REL = 1e-14
+
+
+def _assert_near_threshold_radius(sides: list) -> None:
+    closed_form = triangle_radius if len(sides) == 3 else quadrilateral_radius
+    radius = euclidean.solve_euclidean(sides).radius
+    assert abs(radius / closed_form(sides) - 1.0) <= NEAR_THRESHOLD_REL, sides
+
+
+@pytest.mark.parametrize("k", range(4, 16))
+def test_near_flat_triangle_radius_is_closed_form(k):
+    _assert_near_threshold_radius([1.0, 1.0, 2.0 - 10.0**-k])
+
+
+@pytest.mark.parametrize("k", range(4, 16))
+@pytest.mark.parametrize("others", [[1.0, 1.0, 1.0], [0.7, 1.1, 0.25]])
+def test_near_flat_quadrilateral_radius_is_closed_form(others, k):
+    _assert_near_threshold_radius([*others, math.fsum(others) * (1.0 - 10.0**-k)])
+
+
+def test_near_flat_triangles_of_random_shape():
+    # a, b = e^U(-1, 1) and c = (a + b)(1 - 10^U(-15, -1))
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a, b = np.exp(rng.uniform(-1.0, 1.0, 2)).tolist()
+        _assert_near_threshold_radius([a, b, (a + b) * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))])

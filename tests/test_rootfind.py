@@ -355,3 +355,14 @@ class TestMpmathOracle:
                 assert abs(mp.mpf(got) / ref - 1) <= 1e-12, request
                 checked += 1
             assert checked >= 20
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_spacetime_radius_near_threshold_matches_50_digits(self, k):
+        # the dominant side past the sum of the others by 10**-k (relative): Phi
+        # near its zero is the margin over 2x plus cubic tails, summed apart
+        mpmath = pytest.importorskip("mpmath")
+        l = np.array([1.0, 1.3, 0.7, 3.0 * (1.0 + 10.0**-k)])
+        with mpmath.workdps(50):
+            ref = self._phi_root(l, 1.5, mpmath.mp)
+            got = minkowski.solve_minkowski(l).radius
+            assert abs(mpmath.mpf(got) / ref - 1) <= 1e-14

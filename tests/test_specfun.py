@@ -1,6 +1,7 @@
 """Special functions: frozen values, invariants, and quadrature agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,46 @@ class TestRatioInverses:
         assert specfun.sin_ratio_inverse(math.pi / 2 + 1e-3, 1.0) == math.pi / 2
         x = specfun.sinh_ratio_inverse(1e300, 1e-300)
         assert x - math.log(2.0 * x) == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
+
+
+class TestInverseTail:
+    """inverse_tail against 50 digits of arcsin x - x and arsinh x - x, within
+    4 ulps of the tail, for x from 1e-300 up to TAIL_CUT."""
+
+    @staticmethod
+    def _ulps(x: np.ndarray, hyperbolic: bool) -> float:
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = specfun.inverse_tail(x, hyperbolic)
+        worst = 0.0
+        for xk, gk in zip(x.tolist(), got.tolist()):
+            # arcsin x - x cancels 2 log10(1/x) digits: carry them on top of 50
+            digits = 50 + 2 * max(0, -math.floor(math.log10(xk))) if xk else 50
+            with mpmath.workdps(digits):
+                x_mp = mpmath.mpf(xk)
+                tail = (mpmath.asinh(x_mp) if hyperbolic else mpmath.asin(x_mp)) - x_mp
+                worst = max(worst, float(abs(gk - tail)) / float(np.spacing(abs(float(tail)))))
+        return worst
+
+    @pytest.mark.parametrize("hyperbolic", [False, True], ids=["arcsin", "arsinh"])
+    def test_one_argument_at_a_time(self, hyperbolic):
+        # each argument sets its own number of terms
+        rng = np.random.default_rng(7)
+        x = np.concatenate((
+            np.exp(rng.uniform(math.log(1e-300), math.log(specfun.TAIL_CUT), 150)),
+            specfun.TAIL_CUT * (1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.1), 30))),
+            [0.0, math.nextafter(specfun.TAIL_CUT, 0.0)],
+        ))
+        assert max(self._ulps(x[k : k + 1], hyperbolic) for k in range(x.size)) <= 4.0
+
+    @pytest.mark.parametrize("hyperbolic", [False, True], ids=["arcsin", "arsinh"])
+    def test_vector_over_30_binades(self, hyperbolic):
+        # the largest entry sets the number of terms for all of them
+        x = np.ldexp(0.4999, -np.arange(30))
+        assert self._ulps(x, hyperbolic) <= 4.0
+        assert self._ulps(np.append(x, 0.0), hyperbolic) <= 4.0
+
+    def test_zero(self):
+        for hyperbolic in (False, True):
+            assert specfun.inverse_tail(np.zeros(3), hyperbolic).tolist() == [0.0, 0.0, 0.0]
