@@ -277,8 +277,9 @@ def solve_on_axis(chords, dom: int, floor: float):
     (Phi at the bound is then never taken) and is halved.  Where Phi at the
     bound is not positive, the bound is the lower end and far_radius the upper
     one.  Raises NearDegenerateError (``index`` dom) where lo <= floor must
-    move, as at x = 1 for a hypercycle within rounding of its axis, or where
-    c_dom / 2x passes the float range at either end.
+    move, as at x = 1 for a hypercycle within rounding of its axis, where
+    c_dom / 2x passes the float range at either end, or where the upper end
+    does.
     """
     rot = SideLengths(chords[dominant_last(dom, len(chords))])  # checked once
     c_dom = float(chords[dom])
@@ -292,8 +293,13 @@ def solve_on_axis(chords, dom: int, floor: float):
                 index=dom,
             )
 
+    def refuse_above(x: float) -> float:
+        if math.isinf(x):
+            raise NearDegenerateError("the radius passes the float range", index=dom)
+        return x
+
     rest = fsum(rot.values[:-1])
-    hi = axis_bound(c_dom, rest)
+    hi = refuse_above(axis_bound(c_dom, rest))
     refuse_below(hi)
     lo, f_hi = 1.0, None
     while lo >= hi or not (f_lo := phi(lo, rot)) < 0.0:
@@ -310,7 +316,7 @@ def solve_on_axis(chords, dom: int, floor: float):
     if f_hi is None and not (f_hi := phi(hi, rot)) > 0.0:
         # the bound nears the zero as the chords grow in number; short of it, the lower end
         lo, f_lo = hi, f_hi
-        hi = far_radius(c_dom, rest)
+        hi = refuse_above(far_radius(c_dom, rest))
         f_hi = phi(hi, rot)
     res = bisect_newton(
         lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),

@@ -31,9 +31,15 @@ the computed s is not positive the step falls back to the diagonal step
 (g_m - g_j) / h_j, which is still an ascent direction.  On a line a + t v
 (sum v = 0) f_l is concave, so f_l(a + t v) >= f_l(a) + t g_t.v with g_t its
 gradient there: a step with g_t.v >= 1e-4 g.v passes the Armijo test
-unevaluated.  Only where it does not (or g_t.v is not finite) does a
-backtracking line search on f_l decide; the Newton endgame makes no test.  No
-step to a non-finite gradient is kept.  Every step is capped at half the
+unevaluated.  A Newton step that overshoots the line's maximum fails that
+test; on each half of it g.v is at least its value at the half's end, so
+f_l(a + t v) - f_l(a) >= (t/2) (g_mid + g_t).v with g_mid the gradient at the
+midpoint, and the step passes when (g_mid + g_t).v / 2 >= 1e-4 g.v.  That
+proof is used only where the slope g.v is resolved above the rounding of the
+dot products, g.v >= 1e8 eps (|g| + 1).|v|; near a flat polygon it is not.
+Only where neither proof holds (or g_t.v is not finite) does a backtracking
+line search on f_l decide; the Newton endgame makes no test.  No step to a
+non-finite gradient is kept.  Every step is capped at half the
 distance to the simplex boundary, so every angle stays positive -- the inward
 derivative at the boundary is +infinity, so the maximizer of a feasible
 instance is interior and the ascent cannot stall there.  This path is
@@ -64,6 +70,7 @@ __all__ = [
 _GRAD_SPREAD_TOL = 1e-10  # the ascent stops at this gradient spread max - min
 _MAX_ITERATIONS = 10_000  # ascent steps before ConvergenceError
 _CRITICAL_REL_TOL = 1e-9  # relative spread of the radii check_critical_point accepts
+_RESOLVED_SLOPE = 1e8 * sys.float_info.epsilon  # of (|g| + 1).|v|, for the midpoint proof
 
 
 def _match(lengths: SideLengths, angles: CentralAngles) -> None:
@@ -140,6 +147,19 @@ def _step(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     return a_new
 
 
+def _midpoint_proves(logl, a, t, v, g, g_new, slope) -> bool:
+    """Whether concavity proves the Armijo test of the step a + t v from the
+    gradients at its midpoint and its end: f rises by at least
+    (t/2) (g_mid + g_new).v, since g.v falls along the line.  Where the slope is
+    within rounding of the dot products, or g_new is not finite, the proof is
+    not tried."""
+    end = float(g_new @ v)
+    if not (math.isfinite(end) and slope >= _RESOLVED_SLOPE * float((np.abs(g) + 1.0) @ np.abs(v))):
+        return False
+    g_mid = _gradient(logl, _step(a, 0.5 * t, v))
+    return 0.5 * (float(g_mid @ v) + end) >= 1e-4 * slope
+
+
 def maximize_on_simplex(lengths) -> CentralAngles:
     """Maximize f_ell over the open simplex of central angles.
 
@@ -151,6 +171,13 @@ def maximize_on_simplex(lengths) -> CentralAngles:
     step is then taken, and kept if its spread is no larger.  A spread still
     above it after _MAX_ITERATIONS steps raises ConvergenceError, and a start
     angle whose -cot(a/2)/2 overflows NearDegenerateError.
+
+    A step is accepted without evaluating f_ell where concavity proves the
+    Armijo test: from the gradient at its end, or, on a Newton step whose
+    slope g.v is at least 1e8 eps (|g| + 1).|v|, from the gradients at its
+    midpoint and its end (_midpoint_proves).  Only the other steps run a
+    backtracking line search on f_ell, as near a flat polygon, where the
+    slope is within rounding.
     """
     lengths = SideLengths.coerce(lengths)
     logl = np.log(lengths.values)
@@ -188,8 +215,13 @@ def maximize_on_simplex(lengths) -> CentralAngles:
             a_new = _step(a, t, v)
             g_new = _gradient(logl, a_new)
         # endgame: objective improvements drop below evaluation noise, so let
-        # Newton contract the iterate; elsewhere concavity proves Armijo
-        if (newton and spread < 1e-5) or g_new @ v >= 1e-4 * slope:
+        # Newton contract the iterate; elsewhere concavity proves Armijo from
+        # the end's gradient, or from the midpoint's on an overshooting Newton step
+        if (
+            (newton and spread < 1e-5)
+            or g_new @ v >= 1e-4 * slope
+            or (newton and _midpoint_proves(logl, a, t, v, g, g_new, slope))
+        ):
             fa = None
         else:
             if fa is None:

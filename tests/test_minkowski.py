@@ -101,6 +101,15 @@ class TestSolve:
         with pytest.raises(NearDegenerateError, match="vertex coordinates"):
             minkowski.solve_minkowski(lengths)
 
+    def test_radius_past_the_float_range_is_near_degenerate(self):
+        # past the threshold by one ulp at 1.6e308: R is about 3e315, and
+        # axis_bound overflows to inf
+        lengths = [8e307, 8e307, 1.6000000000000002e308]
+        assert math.isinf(hyperbolic.axis_bound(lengths[2], lengths[0] + lengths[1]))
+        with pytest.raises(NearDegenerateError, match="radius passes the float range") as exc_info:
+            minkowski.solve_minkowski(lengths)
+        assert exc_info.value.index == 2
+
     def test_half_feet_where_2x_overflows(self):
         chords = np.array([2e307, 3e307, 1e308])
         half_max = np.finfo(float).max / 2

@@ -906,6 +906,8 @@ class TestCliExitCodes:
             # a Minkowski radius bracketed past 2**1023, its vertices past the range
             '{"geometry":"minkowski","lengths":[1e308,2e307,3e307]}',
             '{"geometry":"minkowski","lengths":[1.7e308,1e307,1e307]}',
+            # a Minkowski radius past the float range, and its closed-form bound
+            '{"geometry":"minkowski","lengths":[8e307,8e307,1.6000000000000002e308]}',
             # a side whose chord rounds to 0
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1.9]}',
             '{"geometry":"hyperbolic","lengths":[5e-324,1,1,1]}',

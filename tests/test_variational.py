@@ -1,6 +1,7 @@
 """Variational functional, gradient, simplex maximizer, critical points."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -371,10 +372,72 @@ def _count_clausen_calls(monkeypatch, lengths) -> int:
     return len(calls)
 
 
+def _verify_like_sides() -> list[np.ndarray]:
+    """198 polygons like the verify workload's: n in [8, 60], sides
+    log-uniform on [0.1, 10], every fourth draw center-outside (a side set to
+    U(0.75, 0.88) times the sum of the rest), and draws whose largest side is
+    at least 0.9 times the rest skipped."""
+    rng = np.random.default_rng(123)
+    out = []
+    for i in range(200):
+        n = int(rng.integers(8, 61))
+        l = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+        if i % 4 == 3:
+            k = int(rng.integers(n))
+            l[k] = math.fsum(np.delete(l, k).tolist()) * rng.uniform(0.75, 0.88)
+        m = int(np.argmax(l))
+        if l[m] < 0.9 * math.fsum(np.delete(l, m).tolist()):
+            out.append(l)
+    return out
+
+
+def _near_flat_sides(draws) -> dict[int, np.ndarray]:
+    """The given draws of 400 center-outside polygons within 1e-12 to 1e-6
+    relative of flat: n in [3, 40], sides log-uniform on [0.1, 10], one side
+    set to the sum of the others times 1 - 10**U(-12, -6)."""
+    rng = np.random.default_rng(9)
+    out = {}
+    for d in range(400):
+        n = int(rng.integers(3, 41))
+        l = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+        k = int(rng.integers(n))
+        l[k] = 0.0
+        l[k] = math.fsum(l.tolist()) * (1.0 - 10.0 ** rng.uniform(-12, -6))
+        if d in draws:
+            out[d] = l
+    return out
+
+
 class TestConcavityCertificate:
     """A step whose new gradient g_t has g_t . v >= 1e-4 g . v passes the
-    Armijo test by concavity, so the objective is evaluated only on steps
-    that fail the certificate."""
+    Armijo test by concavity, and so does a resolved Newton step whose
+    midpoint and end gradients have (g_mid + g_t) . v / 2 >= 1e-4 g . v; the
+    objective is evaluated only on steps that fail both proofs."""
+
+    def test_verify_like_polygons_make_no_clausen_call(self, monkeypatch):
+        # without the midpoint proof these take 315 Cl2 evaluations, one per
+        # line search on a full Newton step that overshoots the line's maximum
+        sides = _verify_like_sides()
+        assert len(sides) == 198
+        assert sum(_count_clausen_calls(monkeypatch, l) for l in sides) == 0
+        proved = [variational.maximize_on_simplex(l).values for l in sides]
+        monkeypatch.setattr(variational, "_midpoint_proves", lambda *args: False)
+        searched = [variational.maximize_on_simplex(l).values for l in sides]
+        assert all(np.array_equal(p, q) for p, q in zip(proved, searched))
+
+    @pytest.mark.parametrize("draw", [27, 183, 341, 374])
+    def test_unresolved_slope_keeps_the_line_search(self, draw):
+        # near flat the slope is within rounding of the dot products: proved
+        # at their midpoints, these steps would end in false oks with
+        # dual-path deltas of 5.9e-5 to 3.3e-2
+        lengths = _near_flat_sides({draw})[draw]
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(ConvergenceError):
+                variational.maximize_on_simplex(lengths)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.01
 
     def test_center_outside_triangle_needs_few_evaluations(self, monkeypatch):
         assert _count_clausen_calls(monkeypatch, [1, 1, 1.9]) <= 4
