@@ -62,8 +62,9 @@ def _run_one(args, data) -> tuple[dict, int, str | None]:
             return polyio.cli_classify(request), EXIT_OK, None
         if args.command == "verify":
             return polyio.cli_verify(request), EXIT_OK, None
-        report = polyio.cli_solve(request)
-        svg_text = polyio.cli_render(report)
+        from . import svg  # here: solve, classify and verify never load it
+
+        svg_text = svg.render_report(polyio.cli_solve(request))
         summary = {"status": "ok", "geometry": request.geometry, "out": args.out}
         return summary, EXIT_OK, svg_text
     except InfeasibleError as exc:

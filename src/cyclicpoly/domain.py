@@ -14,9 +14,9 @@ TWO_PI = 2.0 * math.pi
 #: absolute tolerance on sum(angles) == 2*pi
 ANGLE_SUM_TOL = 1e-12
 
-#: the sizes from which fsum and prefix_sums run in numpy: an fsum that takes its
-#: early exit beats math.fsum from about 350-400 entries (one too wide for it, from
-#: about 500), and prefix_sums beats the two-sum loop from about 80 marks
+#: the sizes from which fsum and prefix_sums run in numpy: fsum's one extraction
+#: pass beats math.fsum from about 350-400 entries, and prefix_sums beats the
+#: two-sum loop from about 80 marks
 FSUM_CUTOFF, PREFIX_CUTOFF = 450, 80
 
 
@@ -24,16 +24,15 @@ def fsum(x: np.ndarray, *more: float) -> float:
     """math.fsum of the entries of a 1-d float array and then ``more``, bit for
     bit, raising what it raises.
 
-    From FSUM_CUTOFF entries, up to three error-free extraction passes (Rump, Ogita
-    and Oishi, SIAM J. Sci. Comput. 31, 2008) split off parts q = (sigma + x) - sigma,
+    From FSUM_CUTOFF entries, one error-free extraction pass (Rump, Ogita and
+    Oishi, SIAM J. Sci. Comput. 31, 2008) splits off parts q = (sigma + x) - sigma,
     sigma = 2**(e + shift) with max|x| < 2**e and shift = bit_length(n + 2), which
     numpy sums exactly in any order.  The remainder's entries are multiples of
-    ulp(min|x|) below 2**(e + shift - 53), so numpy sums it exactly too once e is at
-    most 53 - 2 * shift above the exponent of min|x| (never where x holds a 0): the
-    early exit, after the first pass for the solvers' vectors.  math.fsum rounds the
-    part sums, the remainder (or, past three passes, its nonzero entries) and ``more``
-    once.  A NaN, an infinity or a zero maximum, or a sigma past 2**1023, goes to
-    math.fsum as is.
+    ulp(min|x|) below 2**(e + shift - 53), so numpy sums it exactly too where e is
+    at most 53 - 2 * shift above the exponent of a nonzero min|x|, as it is for
+    the solvers' vectors.  math.fsum then rounds the two sums and ``more`` once.
+    Elsewhere (a 0, a wider span, a NaN or an infinity, a sigma past 2**1023),
+    the vector goes to math.fsum as is.
     """
     if x.size < FSUM_CUTOFF or (parts := _parts(x)) is None:
         terms = x.tolist()
@@ -44,24 +43,18 @@ def fsum(x: np.ndarray, *more: float) -> float:
 
 
 def _parts(x: np.ndarray) -> list | None:
-    """Floats summing exactly to the sum of x, by fsum's extraction passes, or
-    None where x goes to math.fsum as is."""
+    """The two exact sums of fsum's extraction pass over x, or None where x goes
+    to math.fsum as is."""
     shift = (x.size + 2).bit_length()
     a = np.abs(x)
     m, low = float(a.max()), float(a.min())
-    if not 0.0 < m < math.ldexp(1.0, 1023 - shift):
+    e = math.frexp(m)[1]
+    if not (0.0 < low and m < math.ldexp(1.0, 1023 - shift)
+            and e <= math.frexp(low)[1] + 53 - 2 * shift):
         return None
-    last = math.frexp(low)[1] + 53 - 2 * shift if low else -math.inf  # largest e to exit
-    parts = []
-    for _ in range(3):
-        e = math.frexp(m)[1]
-        sigma = math.ldexp(1.0, e + shift)
-        q = (x + sigma) - sigma
-        x = x - q
-        parts.append(float(q.sum()))
-        if e <= last or not (m := float(np.abs(x).max())):
-            return [*parts, float(x.sum())]
-    return [*parts, *x[x != 0.0].tolist()]
+    sigma = math.ldexp(1.0, e + shift)
+    q = (x + sigma) - sigma
+    return [float(q.sum()), float((x - q).sum())]
 
 
 def excess(v: np.ndarray, m: int) -> float:

@@ -27,6 +27,7 @@ others, and it is unique.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,14 +154,9 @@ def solve_euclidean(lengths) -> EuclideanSolution:
 
     # the last three t: f' follows f at its t, and the root returned is the
     # last t, the one before it, or a bracket end where the solve started
-    memo = {}
-
+    @functools.lru_cache(maxsize=3)
     def half_angles(t: float):
-        if t not in memo:
-            if len(memo) == 3:
-                del memo[next(iter(memo))]
-            memo[t] = _half_angles(t, r0, gap, half)
-        return memo[t]
+        return _half_angles(t, r0, gap, half)
 
     def f(t: float) -> float:
         radius, _, a = half_angles(t)

@@ -22,11 +22,11 @@ cells into row order once.  A finite matrix column of one value (the
 shared height of the vertices on a sphere's circle) is formatted once, into
 the row text.  A finite block of at least _BLOCK_CUTOFF cells is written by a
 numpy kernel, byte for byte as %.17g writes it (exact digits from Dekker's
-two-product), and goes in through %s fields; smaller blocks, and any block
-holding a NaN or an infinity, keep their %.17g fields, so the final check names
-the first non-finite value in report order.  The kernel's rare fix-ups (a decade
-that log10 missed, a borrow or carry between the digit halves, a last 4-digit
-group of 0) run only on the cells that need them.
+two-product), and its parts go straight into the % arguments through %s fields;
+smaller blocks keep their %.17g fields.  A float is checked where it is written,
+so the first non-finite value in report order raises.  The kernel's rare
+fix-ups (a decade that log10 missed, a borrow or carry between the digit
+halves, a last 4-digit group of 0) run only on the cells that need them.
 Keys and strings are quoted as json.dumps quotes them; reports round-trip byte for byte.
 """
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import euclidean, hyperbolic, minkowski, spherical, variational
 from .domain import TWO_PI, SideLengths, excess, fsum, mean
-from .errors import DomainError, InfeasibleError, InvariantViolation
+from .errors import DomainError, InvariantViolation
 
 __all__ = [
     "GEOMETRIES",
@@ -52,7 +52,6 @@ __all__ = [
     "cli_solve",
     "cli_classify",
     "cli_verify",
-    "cli_render",
     "dumps_report",
 ]
 
@@ -329,18 +328,6 @@ def cli_verify(request: SolveRequest) -> dict:
     }
 
 
-def cli_render(report: dict) -> str:
-    """Render an ok-report (of cli_solve) to an SVG document; refuse an error report."""
-    from . import svg
-
-    if report.get("status") != "ok":
-        err = report.get("error", {})
-        raise InfeasibleError(
-            f"refusing to render an error report: {err.get('message', 'unknown error')}"
-        )
-    return svg.render_report(report)
-
-
 # ---------------------------------------------------------------------------
 # canonical JSON
 
@@ -508,11 +495,18 @@ def _block_text(values: np.ndarray, cell: str, pad: str, inner: str) -> list:
     return parts
 
 
-def _emit(obj, out: list, floats: list, blocks: list, pad: str, step: str) -> None:
-    """Append obj's template text to `out` and its floats to `floats`; `step` is one
-    indent.  A block that _block_text writes takes a %s field per part: its parts go
-    to `blocks` with the count of floats before them.  Each float goes in as 0.0 + x:
-    0.0 + -0.0 is 0.0, and "-0" would reparse as an integer."""
+def _finite(x: float) -> float:
+    """0.0 + x for a finite x (0.0 + -0.0 is 0.0: "-0" would reparse as an int)."""
+    if not math.isfinite(x):
+        raise InvariantViolation(f"non-finite value {x!r} in report")
+    return 0.0 + x
+
+
+def _emit(obj, out: list, args: list, pad: str, step: str) -> None:
+    """Append obj's template text to `out` and its % arguments to `args`; `step` is
+    one indent.  A float goes in through a %.17g field, a block that _block_text
+    writes through a %s field per part.  Each float is checked where it is written,
+    so the first non-finite one in report order raises."""
     inner = pad + step
     if isinstance(obj, dict):
         sep = "{\n"
@@ -523,12 +517,12 @@ def _emit(obj, out: list, floats: list, blocks: list, pad: str, step: str) -> No
             sep = ",\n"
             if type(v) is float:
                 out.append(head + "%.17g")
-                floats.append(0.0 + v)
+                args.append(_finite(v))
             elif type(v) is str:
                 out.append(head + encode_basestring_ascii(v).replace("%", "%%"))
             else:
                 out.append(head)
-                _emit(v, out, floats, blocks, inner, step)
+                _emit(v, out, args, inner, step)
         out.append("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim not in (1, 2):
@@ -550,20 +544,23 @@ def _emit(obj, out: list, floats: list, blocks: list, pad: str, step: str) -> No
         ):
             parts = _block_text(values, cell, pad, inner)
             out.append("%s" * len(parts))
-            blocks.append((len(floats), parts))
+            args += parts
         else:
             out.append(_layout([cell] * len(obj), pad, step))
-            floats += values.tolist()
+            cells = values.tolist()
+            if not all(map(math.isfinite, cells)):
+                _finite(next(x for x in cells if not math.isfinite(x)))  # raises
+            args += cells
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             out.append(("[\n" if i == 0 else ",\n") + inner)
-            _emit(v, out, floats, blocks, inner, step)
+            _emit(v, out, args, inner, step)
         out.append("\n" + pad + "]" if obj else "[]")
     elif isinstance(obj, int):  # bool is an int
         out.append("true" if obj is True else "false" if obj is False else str(obj))
     elif isinstance(obj, float):
         out.append("%.17g")
-        floats.append(0.0 + obj)
+        args.append(_finite(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj).replace("%", "%%"))
     elif obj is None:
@@ -576,21 +573,9 @@ def dumps_report(report: dict | list[dict], *, indent: int = 2) -> str:
     """Serialize a report, or a list of reports (CLI batch mode), with
     17-significant-digit floats, newline-terminated."""
     out: list[str] = []
-    floats: list = []
-    blocks: list = []
-    _emit(report, out, floats, blocks, "", " " * indent)
-    if not all(map(math.isfinite, floats)):
-        bad = next(x for x in floats if not math.isfinite(x))
-        raise InvariantViolation(f"non-finite value {bad!r} in report")
+    args: list = []
+    _emit(report, out, args, "", " " * indent)
     out.append("\n")
-    args = floats
-    if blocks:  # % copies a block's text whole through its %s fields
-        args, start = [], 0
-        for at, parts in blocks:
-            args += floats[start:at]
-            args += parts
-            start = at
-        args += floats[start:]
     # tuple() of a list allocates once; a tuple built from an iterator is
     # resized as it fills, which let peak RSS creep up over many reports
     return "".join(out) % tuple(args)

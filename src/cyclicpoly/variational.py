@@ -85,9 +85,7 @@ def f_ell(lengths, alpha) -> float:
     lengths = SideLengths.coerce(lengths)
     alpha = CentralAngles.coerce(alpha)
     _match(lengths, alpha)
-    a = alpha.values
-    terms = _clausen2_vec(a) + np.log(lengths.values) * a
-    return math.fsum(terms.tolist())
+    return _objective(np.log(lengths.values), alpha.values)
 
 
 def v_n(alpha) -> float:

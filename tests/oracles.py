@@ -4,12 +4,13 @@ These deliberately avoid the library's evaluation strategies: the special
 functions are checked against direct adaptive quadrature of their defining
 integrals (scipy QUADPACK, with the integrable log singularities passed as
 breakpoints), and the circumradius solvers against plain long-running
-bisection with no Newton polish and no shared code.
+bisection, or against 40-digit mpmath roots, with no shared code.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -51,34 +52,46 @@ def clh2_quad(x: float) -> float:
     return val if x > 0 else -val
 
 
-def euclidean_radius_bisect(lengths, iterations: int = 200) -> float:
-    """Circumradius by pure bisection on the case-split angle equations."""
-    l = np.asarray(lengths, dtype=float)
-    m = int(np.argmax(l))
-    others = np.delete(l, m)
-    if math.fsum(np.arcsin(np.minimum(1.0, others / l[m])).tolist()) >= 0.5 * math.pi:
-        def f(r):
-            return math.fsum(np.arcsin(np.minimum(1.0, l / (2.0 * r))).tolist()) - math.pi
-    else:
-        def f(r):
-            return math.fsum(np.arcsin(others / (2.0 * r)).tolist()) - math.asin(
-                min(1.0, l[m] / (2.0 * r))
-            )
+def euclidean_radius_bisect(lengths) -> float:
+    """Circumradius from the case-split angle equations in 40-digit mpmath: a
+    bracket doubled from R0 = l_max / 2, then Newton steps kept inside it, each
+    bisecting where it would leave.  Near flat, the equations in double
+    precision have no relative accuracy: their root can be off by a quarter."""
+    l = [float(x) for x in lengths]
+    m = max(range(len(l)), key=l.__getitem__)
+    with mpmath.workdps(40):
+        mp = mpmath.mp
+        x = [mp.mpf(v) for v in l]
+        # f at R0 = l_max / 2, where the longest side's half angle is pi/2, on either branch
+        f_a = mp.fsum(mp.asin(v / x[m]) for k, v in enumerate(x) if k != m) - mp.pi / 2
+        if f_a == 0:
+            return l[m] / 2
+        inside = f_a > 0
+        signs = [1 if inside or k != m else -1 for k in range(len(x))]
 
-    lo = 0.5 * l[m]
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    hi = 2.0 * lo
-    while (f(hi) > 0.0) == (flo > 0.0):
-        hi *= 2.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        def f(r):
+            return mp.fsum(s * mp.asin(v / (2 * r)) for s, v in zip(signs, x)) - inside * mp.pi
+
+        def newton_step(r, f_r):
+            return r + f_r / mp.fsum(s * v / (r * mp.sqrt(4 * r * r - v * v)) for s, v in zip(signs, x))
+
+        # f is positive between R0 and the root inside, negative outside
+        a, b = x[m] / 2, x[m]
+        while (f(b) > 0) == inside:
+            a, b = b, 2 * b
+        r = (a + b) / 2
+        for _ in range(200):
+            f_r = f(r)
+            if f_r == 0:
+                return float(r)
+            a, b = (r, b) if (f_r > 0) == inside else (a, r)
+            step = newton_step(r, f_r)
+            if not a < step < b:
+                step = (a + b) / 2
+            elif abs(step - r) <= 1e-12 * r:  # Newton doubles the digits: 24 now
+                return float(step)
+            r = step
+    raise AssertionError(f"no radius of {l} in 200 steps")
 
 
 def phi_root_bisect(chords, lo: float, hi: float, iterations: int = 200) -> float:

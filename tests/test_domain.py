@@ -144,7 +144,8 @@ any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 class TestFsum:
     @given(st.lists(any_finite, min_size=1, max_size=40))
-    # a tie broken by 2**-600, the one entry three passes leave over
+    # a tie broken by 2**-600, 400 binades below the rest: far past the span of
+    # the one extraction pass, so math.fsum sums it as is
     @example([1.0, -1.0, 2.0**-200, 2.0**-253, 2.0**-600])
     @settings(max_examples=300, deadline=None)
     def test_extraction_at_any_size_is_math_fsum(self, values):
@@ -231,8 +232,9 @@ def _exact(x) -> Fraction:
 
 
 class TestEarlyExit:
-    """From FSUM_CUTOFF entries, fsum stops after the first extraction pass where x
-    spans at most 53 - 2 * bit_length(n + 2) binades: the remainder sums exactly."""
+    """From FSUM_CUTOFF entries, fsum takes one extraction pass where x spans at
+    most 53 - 2 * bit_length(n + 2) binades and holds no 0: the remainder sums
+    exactly.  Elsewhere the vector goes to math.fsum as is."""
 
     @pytest.mark.parametrize("n", [FSUM_CUTOFF - 1, FSUM_CUTOFF, 10**4])
     @pytest.mark.parametrize("wider", [0, 1], ids=["at-the-span", "one-binade-more"])
@@ -246,15 +248,16 @@ class TestEarlyExit:
         a = np.abs(x[x != 0.0])
         assert math.frexp(a.max())[1] - math.frexp(a.min())[1] == 53 - 2 * shift + wider
         parts = domain._parts(x)
-        assert _exact(parts) == _exact(x)
-        # the first pass, replayed: the part and, at the exit, the remainder
-        sigma = 2.0 ** (math.frexp(float(np.abs(x).max()))[1] + shift)
-        q = (x + sigma) - sigma
-        assert Fraction(parts[0]) == _exact(q)
-        exits = not (wider or zeros)
-        assert (len(parts) == 2) == exits
-        if exits:
+        if wider or zeros:
+            assert parts is None
+        else:
+            # the one pass, replayed: the part and the remainder, each summed exactly
+            sigma = 2.0 ** (math.frexp(float(np.abs(x).max()))[1] + shift)
+            q = (x + sigma) - sigma
+            assert len(parts) == 2
+            assert Fraction(parts[0]) == _exact(q)
             assert Fraction(parts[1]) == _exact(x - q)
+            assert _exact(parts) == _exact(x)
         assert fsum(x).hex() == math.fsum(x.tolist()).hex()
         assert fsum(x, -0.5, 2.0**-70).hex() == math.fsum(x.tolist() + [-0.5, 2.0**-70]).hex()
         for m in (0, -1, int(x.argmax()), n // 2):

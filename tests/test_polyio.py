@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclicpoly import cli, polyio
-from cyclicpoly.errors import InfeasibleError, InvariantViolation
+from cyclicpoly import cli, polyio, svg
+from cyclicpoly.errors import DomainError, InfeasibleError, InvariantViolation
 
 from oracles import strict_lengths, workload_request
 
@@ -146,8 +146,8 @@ class TestSolveReports:
         assert rep["class"]["dominant"] == 2
 
     def test_render_refuses_error_report(self):
-        with pytest.raises(InfeasibleError):
-            polyio.cli_render({"status": "error", "error": {"code": "x", "message": "nope"}})
+        with pytest.raises(DomainError, match="report carries no solution payload"):
+            svg.render_report({"status": "error", "error": {"code": "x", "message": "nope"}})
 
 
 class TestResidualGate:
@@ -583,20 +583,22 @@ class TestArrayBlock:
         [
             ([[0.1, 1.5, 0.2], [0.3, 1.5, 0.4]], [0.1, 0.2, 0.3, 0.4]),
             ([[1.0, 0.0], [2.0, -0.0]], [1.0, 2.0]),
-            # a non-finite column stays a field, so the final check names it
+            # a non-finite column stays a field, which raises where it is written
             ([[1.0, math.inf], [2.0, math.inf]], [1.0, math.inf, 2.0, math.inf]),
             ([[1.0, math.nan], [2.0, math.nan]], None),
         ],
     )
     def test_finite_constant_column_goes_into_the_row_text(self, m, rest):
+        bad = math.nan if rest is None else next((x for x in rest if not math.isfinite(x)), None)
         for order in "CF":
-            out, floats = [], []
-            polyio._emit(np.array(m, order=order), out, floats, [], "", "  ")
-            if rest is None:
-                assert len(floats) == 4 and math.isnan(floats[1]) and math.isnan(floats[3])
-            else:
-                assert floats == rest
-            assert "".join(out).count("%.17g") == len(floats)
+            out, args = [], []
+            if bad is not None:
+                with pytest.raises(InvariantViolation, match=f"non-finite value {bad!r} in report"):
+                    polyio._emit(np.array(m, order=order), out, args, "", "  ")
+                continue
+            polyio._emit(np.array(m, order=order), out, args, "", "  ")
+            assert args == rest
+            assert "".join(out).count("%.17g") == len(args)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["entry", "constant_column"])

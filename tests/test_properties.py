@@ -414,6 +414,9 @@ def polygons(draw):
 # the center outside, past a side beside 101 short ones: the upper bound is
 # within 5e-5 of the root
 @example(np.array([1.0] + [0.01] * 101))
+# one ulp from flat: the root in double precision was 16777216, past the upper
+# bound 13698539.5; the 40-digit root is 13263553.839154878
+@example(np.array([1.0] + [0.25000000000000006] * 4))
 @settings(max_examples=200, deadline=None)
 def test_radius_bounds_bracket_the_root(l):
     m = int(np.argmax(l))
