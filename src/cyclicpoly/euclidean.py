@@ -14,8 +14,10 @@ The split is decided at the smallest admissible radius R0 = l_max/2 by
 comparing sum_{k != m} arcsin(l_k / l_m) with pi/2.  Each branch is solved
 by safeguarded Newton (rootfind.bisect_newton) in t = sqrt(R - R0), where
 the equation has no square-root singularity, on a bracket of closed-form
-bounds (radius_bounds), from the end whose defect is smaller: on large
-polygons P/2pi, for the perimeter P, within a few millionths of the root.
+bounds (radius_bounds; outside, the upper one is linear_root, the root of the
+defect with the other sides linearized, which hyperbolic's Phi step shares),
+from the end whose defect is smaller: on large polygons P/2pi, for the
+perimeter P, within a few millionths of the root.
 Outside, below l_max / 2R = 1/2, the defect is the margin (sum of the
 others) - l_max over 2R plus the tails arcsin x - x, so its sign holds
 however close to flat the polygon is.  Where rounding takes the sign at
@@ -36,13 +38,14 @@ import numpy as np
 from .domain import TWO_PI, CentralAngles, SideLengths, columns, dominance, fsum, prefix_sums
 from .errors import DomainError, NearDegenerateError, NoPolygonError
 from .rootfind import bisect_newton
-from .specfun import TAIL_CUT, inverse_tail, sin_ratio_inverse
+from .specfun import TAIL_CUT, inverse_tail, tail_root
 
 __all__ = [
     "EuclideanSolution",
     "check_polygon_inequalities",
     "radius_bounds",
     "far_radius",
+    "linear_root",
     "solve_euclidean",
     "vertices_on_circle",
     "polygon_area",
@@ -102,13 +105,11 @@ def radius_bounds(lm: float, rest: float, center_inside: bool) -> tuple[float, f
 
     Inside, arcsin x >= x puts R at or above P/2pi (P = lm + rest), and
     Jordan's arcsin x <= pi x/2 at or below P/4; R_lo is at least lm/2.
-    Outside, R_lo = lm/2, and the defect is at least its value with the other
-    sides linearized, which is positive from R_hi = lm / 2 sin(theta) on,
-    where theta / sin(theta) = rest / lm.
+    Outside, R_lo = lm/2, and R_hi is linear_root(lm, rest).
     """
     if center_inside:
         return max((lm + rest) / TWO_PI, 0.5 * lm), 0.25 * (lm + rest)
-    return 0.5 * lm, 0.5 * lm / math.sin(sin_ratio_inverse(rest, lm))
+    return 0.5 * lm, linear_root(lm, rest)
 
 
 def far_radius(a: float, b: float) -> float:
@@ -117,6 +118,16 @@ def far_radius(a: float, b: float) -> float:
     linearized, a lower bound positive there, so past the root."""
     big, small = max(a, b), min(a, b)
     return 0.5 * small / math.sqrt((big - small) / big * (1.0 + small / big))
+
+
+def linear_root(a: float, b: float) -> float:
+    """b / 2x, x = specfun.tail_root(a, b), with a and b as in far_radius: the
+    root of the defect (Phi) with the others linearized, which bounds it from
+    below and is positive past that root, so an upper bound on the root, below
+    far_radius.  At y = a / 2R the linearized defect is b y / a - arcsin y (at
+    y = a / 2x, arsinh y - b y / a for Phi), which vanishes at y = sin x
+    (sinh x), where T(x) = s x."""
+    return b / (2.0 * tail_root(a, b))
 
 
 def solve_euclidean(lengths) -> EuclideanSolution:

@@ -25,15 +25,16 @@ Constructions, one per class:
 
       Phi(x) = arsinh(lbar_n / 2x) - sum_{k<n} arsinh(lbar_k / 2x),
 
-  found by safeguarded Newton to 1e-12 relative (Phi(1) is half the
-  negative length deficit, Phi > 0 for large x, and Phi' > 0 at any zero)
-  between 1 and the closed-form axis_bound, from the end where |Phi| is
-  smaller; near the existence threshold phi splits off the chord margin, so
-  that its sign is right.  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar)
-  then mark the vertex feet along the axis geodesic, and vertices are
-  (Rbar sinh t, sinh R, Rbar cosh t).  This Phi step, bracket, root and
-  placement, is solve_on_axis; minkowski's hyperbola takes it too, halving
-  the lower end below 1 where its radius is smaller.
+  found by safeguarded Newton (Phi(1) is half the negative length deficit,
+  Phi > 0 for large x, and Phi' > 0 at any zero) between 1 and the
+  closed-form euclidean.linear_root, the zero of Phi with the other chords
+  linearized, from the end where |Phi| is smaller; near the existence
+  threshold phi splits off the chord margin, so that its sign is right.
+  Foot distances a_k = 2 arsinh(lbar_k / 2 Rbar) then mark the vertex feet
+  along the axis geodesic, and vertices are (Rbar sinh t, sinh R,
+  Rbar cosh t).  This Phi step, bracket, root and placement, is
+  solve_on_axis; minkowski's hyperbola takes it too, halving the lower end
+  below 1 where its radius is smaller.
 
 Placement conventions (a choice, fixed for reproducibility): the circle is
 centered on (0, 0, 1) with the first vertex in the x1 x3-plane; horocycle
@@ -60,9 +61,9 @@ import numpy as np
 from .domain import CentralAngles, FootDistances, SideLengths, columns, dominance, excess
 from .domain import fsum, prefix_sums
 from .errors import DomainError, InvariantViolation, NearDegenerateError
-from .euclidean import check_polygon_inequalities, far_radius, solve_euclidean
+from .euclidean import check_polygon_inequalities, far_radius, linear_root, solve_euclidean
 from .rootfind import bisect_newton
-from .specfun import TAIL_CUT, inverse_tail, sinh_ratio_inverse
+from .specfun import TAIL_CUT, inverse_tail
 
 __all__ = [
     "CIRCLE",
@@ -71,7 +72,6 @@ __all__ = [
     "HypCurveClass",
     "FootDistances",
     "HyperbolicSolution",
-    "axis_bound",
     "hyp_chord",
     "classify",
     "phi",
@@ -88,9 +88,6 @@ HYPERCYCLE = "hypercycle"
 #: chord length (the horocycle locus has measure zero; exact inputs land
 #: within a few ulps of it)
 HOROCYCLE_BAND = 1e-9
-
-#: relative tolerance of the phi root solve (rootfind.bisect_newton's rel_tol)
-_PHI_REL_TOL = 1e-12
 
 #: half the float maximum, the largest x whose 2x is finite (chords, _half_feet)
 _HALF_MAX = 0.5 * np.finfo(float).max
@@ -254,32 +251,21 @@ def place(marks: np.ndarray, dom: int, x: float | None = None):
     return t, marks, points
 
 
-def axis_bound(c_dom: float, rest: float) -> float:
-    """A closed-form upper bound on the zero of phi, from the dominant chord
-    c_dom and the sum of the others, rest.
-
-    As arsinh y <= y, Phi(x) is at least its value with the other chords
-    linearized, which is positive from x = c_dom / 2Y on, where
-    arsinh(Y) / Y = rest / c_dom.  With Y = sinh u that x is rest / 2u, where
-    sinh(u) / u = c_dom / rest.
-    """
-    return rest / (2.0 * sinh_ratio_inverse(c_dom, rest))
-
-
 def solve_on_axis(chords, dom: int, floor: float):
     """The Phi step of the hypercycle and the Minkowski hyperbola: the zero x
     of phi on ``chords`` (caller order, dominant side ``dom`` rotated last),
     then place's points x (sinh t, cosh t) at the marks 2 arsinh(c_k / 2x).
     Returns (rootfind.RootResult, FootDistances, points), both in caller order.
 
-    The upper end is axis_bound.  The lower end starts at 1; while
-    Phi(lo) >= 0, or lo is not below the upper end, lo becomes the upper end
-    (Phi at the bound is then never taken) and is halved.  Where Phi at the
-    bound is not positive, the bound is the lower end and far_radius the upper
-    one.  Raises NearDegenerateError (``index`` dom) where lo <= floor must
-    move, as at x = 1 for a hypercycle within rounding of its axis, where
-    c_dom / 2x passes the float range at either end, or where the upper end
-    does.
+    The upper end is euclidean.linear_root, the zero of Phi with the other
+    chords linearized (arsinh y <= y), past which Phi is positive.  The lower
+    end starts at 1; while Phi(lo) >= 0, or lo is not below the upper end, lo
+    becomes the upper end (Phi at the bound is then never taken) and is
+    halved.  Where Phi at the bound is not positive, the bound is the lower
+    end and far_radius the upper one.  Raises NearDegenerateError (``index``
+    dom) where lo <= floor must move, as at x = 1 for a hypercycle within
+    rounding of its axis, where c_dom / 2x passes the float range at either
+    end, or where the upper end does.
     """
     rot = SideLengths(chords[dominant_last(dom, len(chords))])  # checked once
     c_dom = float(chords[dom])
@@ -299,7 +285,7 @@ def solve_on_axis(chords, dom: int, floor: float):
         return x
 
     rest = fsum(rot.values[:-1])
-    hi = refuse_above(axis_bound(c_dom, rest))
+    hi = refuse_above(linear_root(c_dom, rest))
     refuse_below(hi)
     lo, f_hi = 1.0, None
     while lo >= hi or not (f_lo := phi(lo, rot)) < 0.0:
@@ -319,8 +305,7 @@ def solve_on_axis(chords, dom: int, floor: float):
         hi = refuse_above(far_radius(c_dom, rest))
         f_hi = phi(hi, rot)
     res = bisect_newton(
-        lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot),
-        rel_tol=_PHI_REL_TOL, f_lo=f_lo, f_hi=f_hi,
+        lambda x: phi(x, rot), lo, hi, dfdx=lambda x: phi_prime(x, rot), f_lo=f_lo, f_hi=f_hi
     )
     _, feet, points = place(2.0 * _shared_feet(rot, res.root), dom, res.root)
     return res, FootDistances(feet), points

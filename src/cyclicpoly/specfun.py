@@ -10,9 +10,10 @@ its hyperbolic analogue
 
 Milnor's Lobachevsky function Cl2(2x)/2, and the Kullback-Leibler
 divergence between discrete distributions.  For the radius roots of the
-chordal solvers it inverts x / sin(x) on (0, pi/2] and sinh(x) / x on
-(0, inf), whose levels bound them in closed form, and sums the tails
-arcsin x - x and arsinh x - x, of their defects near the existence threshold.
+chordal solvers it solves T(x) = s x for the odd tails T(x) = x - sin x and
+sinh x - x (tail_root), whose roots bound them in closed form, and sums the
+tails arcsin x - x and arsinh x - x of their defects near the existence
+threshold.
 
 Cl2 is evaluated by reducing the argument mod 2*pi to (-pi, pi] and summing
 the log-corrected series
@@ -46,8 +47,7 @@ __all__ = [
     "clh2_via_dilog",
     "ProbDist",
     "kl_divergence",
-    "sin_ratio_inverse",
-    "sinh_ratio_inverse",
+    "tail_root",
     "inverse_tail",
 ]
 
@@ -92,11 +92,11 @@ _CL2_COEFFS = (
 
 
 #: 1/(2k+1)!, k = 1..13: with them the series of sinh(x) - x and x - sin(x)
-#: is exact to rounding below x = 5/2, where the differences lose digits
+#: is exact to rounding below x = 5/2; tail_root takes it below 2.2
 _ODD_TAIL = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 14))
 
-#: Newton steps of the ratio inverses; from their starts a few suffice
-_RATIO_STEPS = 40
+#: Newton steps of tail_root; from its starts a few suffice
+_TAIL_STEPS = 40
 
 #: C(2n, n) / (4^n (2n + 1)), n = 1..29: arcsin x = x + sum c_n x^(2n+1), and
 #: arsinh x the same with signs (-1)^n; below TAIL_CUT, 29 terms suffice
@@ -243,18 +243,10 @@ def kl_divergence(p, q) -> float:
     return math.fsum(terms)
 
 
-def _odd_tail(x: float, hyperbolic: bool) -> float:
-    """sinh(x) - x (hyperbolic) or x - sin(x), for x >= 0, to a few ulps: from
-    the series x^3/3! +- x^5/5! + ... below 5/2, directly above."""
-    if x >= 2.5:
-        return math.sinh(x) - x if hyperbolic else x - math.sin(x)
-    return _horner(_ODD_TAIL, x * x if hyperbolic else -x * x) * x * x * x
-
-
 def _newton_from_above(x: float, step) -> float:
     # a convex function increasing past its root, from a start above it: the
     # steps shrink monotonically, quadratically once small
-    for _ in range(_RATIO_STEPS):
+    for _ in range(_TAIL_STEPS):
         dx = step(x)
         if not dx > 0.0:  # at the root, or past it by rounding
             break
@@ -264,45 +256,35 @@ def _newton_from_above(x: float, step) -> float:
     return x
 
 
-def sin_ratio_inverse(a: float, b: float) -> float:
-    """The x in (0, pi/2] with x / sin(x) = a / b, for positive b < a <= b pi/2
-    (pi/2 where rounding puts a / b past pi/2), to a few ulps.
+def tail_root(a: float, b: float) -> float:
+    """The x > 0 with T(x) = s x, s = |a - b| / b, to a few ulps, for positive
+    a != b with b <= a pi/2.  T is the odd tail x - sin x where a < b (the root
+    is then at most pi/2, and pi/2 where rounding puts b / a past pi/2) and
+    sinh x - x where a > b.
 
-    Newton from above on (x - sin x) - s sin x, s = (a - b) / b, which is
-    convex and increasing from its root on.  The start solves the first two
-    terms of x / sin x - 1 = x^2/6 + 7x^4/360 + ... = s, whose terms are all
-    positive, so it lies above the root.
+    Newton from above on T(x) - s x, which is convex and increasing from its
+    root on, with slope 2 sin^2(x/2) - s (2 sinh^2(x/2) - s).  The start solves
+    x^2/6 -+ x^4/120 = s, the series of T(x) / x cut after its second term, which
+    lies below T(x) / x on both branches, so the start lies above the root.  On
+    the hyperbola where s > 1 (x past 2.18), Newton from above on
+    log(sinh(x) / x) - log(a / b), whose logarithms never overflow, started at
+    2 (log(a / b) + 1), where it is positive.
     """
-    s = (a - b) / b
-    x = min(math.sqrt(12.0 * s / (1.0 + math.sqrt(1.0 + 2.8 * s))), 0.5 * math.pi)
-    return _newton_from_above(
-        x,
-        lambda x: (_odd_tail(x, False) - s * math.sin(x))
-        / (2.0 * math.sin(0.5 * x) ** 2 - s * math.cos(x)),
-    )
-
-
-def sinh_ratio_inverse(a: float, b: float) -> float:
-    """The x > 0 with sinh(x) / x = a / b, for positive b < a, to a few ulps.
-
-    Newton from above.  Where s = (a - b) / b is at most 1 (x below 2.18), on
-    (sinh x - x) - s x, started at the root of x^2/6 + x^4/120 = s as in
-    sin_ratio_inverse.  Above, on log(sinh(x) / x) - log(a / b), whose
-    logarithms never overflow, started at 2 (log(a / b) + 1), where it is
-    positive.
-    """
-    s = (a - b) / b
-    if s <= 1.0:
-        x = math.sqrt(12.0 * s / (1.0 + math.sqrt(1.0 + 1.2 * s)))
+    s = abs(a - b) / b
+    if s > 1.0:  # a > 2b: the hyperbola
+        (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+        level = math.log(ma / mb) + (ea - eb) * _LN2  # log(a / b), where a / b overflows
         return _newton_from_above(
-            x, lambda x: (_odd_tail(x, True) - s * x) / (2.0 * math.sinh(0.5 * x) ** 2 - s)
+            2.0 * (level + 1.0),
+            lambda x: (x - _LN2 + math.log1p(-math.exp(-2.0 * x)) - math.log(x) - level)
+            / (1.0 / math.tanh(x) - 1.0 / x),
         )
-    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
-    level = math.log(ma / mb) + (ea - eb) * _LN2  # log(a / b), where a / b overflows
+    w, sin = (1.0, math.sinh) if a > b else (-1.0, math.sin)
+    x = math.sqrt(12.0 * s / (1.0 + math.sqrt(1.0 + 1.2 * w * s)))
     return _newton_from_above(
-        2.0 * (level + 1.0),
-        lambda x: (x - _LN2 + math.log1p(-math.exp(-2.0 * x)) - math.log(x) - level)
-        / (1.0 / math.tanh(x) - 1.0 / x),
+        x if a > b else min(x, 0.5 * math.pi),
+        lambda x: (_horner(_ODD_TAIL, w * x * x) * x * x * x - s * x)
+        / (2.0 * sin(0.5 * x) ** 2 - s),
     )
 
 

@@ -153,6 +153,11 @@ class TestArea:
         with pytest.raises(DomainError):
             euclidean.polygon_area(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 2, 2)])
+    def test_not_an_n_by_2_array(self, shape):
+        with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+            euclidean.polygon_area(np.ones(shape))
+
 
 class TestSolveProperties:
     def test_round_trip(self):

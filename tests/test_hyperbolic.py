@@ -344,7 +344,7 @@ class TestHypercycleRadius:
 
     def test_dominant_chord_beside_many_short_ones(self):
         # 10^5 short chords 1e-7 (relative) short of the dominant one: the
-        # rounding of their sum puts axis_bound 2.2e-10 (relative) short of the
+        # rounding of their sum puts linear_root 2.2e-10 (relative) short of the
         # root, so the bound becomes the lower end, below far_radius
         n, c = 100_000, 30.0 * (1.0 - 1e-7) / 100_000
         rbar = hyperbolic.solve_hypercycle_radius([c] * n + [30.0])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclicpoly import hyperbolic, minkowski
+from cyclicpoly import euclidean, hyperbolic, minkowski
 from cyclicpoly.errors import (
     DimensionMismatchError,
     DomainError,
@@ -103,9 +103,9 @@ class TestSolve:
 
     def test_radius_past_the_float_range_is_near_degenerate(self):
         # past the threshold by one ulp at 1.6e308: R is about 3e315, and
-        # axis_bound overflows to inf
+        # the upper end, euclidean.linear_root, overflows to inf
         lengths = [8e307, 8e307, 1.6000000000000002e308]
-        assert math.isinf(hyperbolic.axis_bound(lengths[2], lengths[0] + lengths[1]))
+        assert math.isinf(euclidean.linear_root(lengths[2], lengths[0] + lengths[1]))
         with pytest.raises(NearDegenerateError, match="radius passes the float range") as exc_info:
             minkowski.solve_minkowski(lengths)
         assert exc_info.value.index == 2

@@ -1017,6 +1017,14 @@ class TestCliExitCodes:
         assert code == 0
         assert json.loads(out)["class"]["kind"] == "circle"
 
+    def test_classify_other_geometry_exit_1(self, capsys, monkeypatch):
+        code, out = run_cli(["classify"], '{"geometry":"euclidean","lengths":[1,1,1]}', capsys, monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "invalid_input",
+            "message": 'classify applies to geometry "hyperbolic" only',
+        }
+
     def test_classify_chords_past_the_float_maximum(self, capsys, monkeypatch):
         # the chords 2 sinh(1419/2) sum past the float maximum; the margin,
         # minus one chord, is still finite
@@ -1179,13 +1187,16 @@ class TestRender:
             ('{"geometry":"spherical","lengths":[1,1,1]}', 'r="1.000000"'),
             ('{"geometry":"hyperbolic","lengths":[1,1,1]}', 'r="1.000000"'),
             ('{"geometry":"hyperbolic","lengths":[1,1,1.9]}', "<polyline"),
+            # an exact horocycle: its chord margin is 0
+            ('{"geometry":"hyperbolic","lengths":[1,1,1.8217888580681216]}', "<polyline"),
             ('{"geometry":"minkowski","lengths":[1,1,3]}', "<line"),
         ],
     )
     def test_all_geometries_render(self, req, marker, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "fig.svg"
-        code, _ = run_cli(["render", "--out", str(out)], req, capsys, monkeypatch)
-        assert code == 0
+        out, again = tmp_path / "fig.svg", tmp_path / "again.svg"
+        codes = [run_cli(["render", "--out", str(o)], req, capsys, monkeypatch)[0] for o in (out, again)]
+        assert codes == [0, 0]
+        assert out.read_bytes() == again.read_bytes()
         text = out.read_text()
         assert marker in text
         assert "<polygon" in text

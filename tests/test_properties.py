@@ -362,6 +362,25 @@ def _hypercycle_root(chords: np.ndarray) -> tuple:
     return hyperbolic.solve_hypercycle_radius(rot), cls.chords
 
 
+def _spherical_radius(arcs: np.ndarray) -> tuple:
+    """The chordal radius of the spherical polygon with these sides, scaled by a
+    power of two to a perimeter in (3, 6], and its chords."""
+    arcs = np.ldexp(arcs, -math.ceil(math.log2(math.fsum(arcs.tolist()) / 6.0)))
+    try:
+        sol = spherical.solve_spherical(arcs)
+    except InfeasibleError:  # flat: on a great circle
+        assume(False)
+    return sol.chordal_radius, sol.chords
+
+
+def _circle_radius(chords: np.ndarray) -> tuple:
+    """The planar radius on the solver's own chords of the hyperbolic polygon
+    whose chords these are, and those chords."""
+    cls = hyperbolic.classify(2.0 * np.arcsinh(0.5 * chords))
+    assume(cls.kind == hyperbolic.CIRCLE)
+    return euclidean.solve_euclidean(cls.chords).radius, cls.chords
+
+
 @given(closed_form_polygons(3, True))
 @settings(max_examples=300, deadline=None)
 def test_euclidean_triangle_radius_is_closed_form(sides):
@@ -380,10 +399,34 @@ def test_hypercycle_triangle_root_is_closed_form(chords):
     _assert_closed_form_radius(*_hypercycle_root(chords))
 
 
+@given(closed_form_polygons(3, True))
+@settings(max_examples=300, deadline=None)
+def test_spherical_triangle_radius_is_closed_form(arcs):
+    _assert_closed_form_radius(*_spherical_radius(arcs))
+
+
+@given(closed_form_polygons(3, True))
+@settings(max_examples=300, deadline=None)
+def test_hyperbolic_circle_triangle_radius_is_closed_form(chords):
+    _assert_closed_form_radius(*_circle_radius(chords))
+
+
 @given(closed_form_polygons(4, True))
 @settings(max_examples=300, deadline=None)
 def test_euclidean_quadrilateral_radius_is_closed_form(sides):
     _assert_closed_form_radius(_euclidean_radius(sides), sides)
+
+
+@given(closed_form_polygons(4, True))
+@settings(max_examples=300, deadline=None)
+def test_spherical_quadrilateral_radius_is_closed_form(arcs):
+    _assert_closed_form_radius(*_spherical_radius(arcs))
+
+
+@given(closed_form_polygons(4, True))
+@settings(max_examples=300, deadline=None)
+def test_hyperbolic_circle_quadrilateral_radius_is_closed_form(chords):
+    _assert_closed_form_radius(*_circle_radius(chords))
 
 
 @given(closed_form_polygons(4, False))
@@ -436,7 +479,7 @@ def test_axis_bound_brackets_the_hypercycle_root(hypercycle):
     _, cls = hypercycle
     rot = cls.chords[hyperbolic.dominant_last(cls.index, cls.chords.size)]
     rest = math.fsum(rot[:-1].tolist())
-    bound = hyperbolic.axis_bound(float(rot[-1]), rest)
+    bound = euclidean.linear_root(float(rot[-1]), rest)
     assert 1.0 < phi_root_bisect(rot, 1.0, 2.0) <= bound <= euclidean.far_radius(float(rot[-1]), rest)
 
 
@@ -457,7 +500,7 @@ def test_axis_bound_brackets_the_hyperbola_radius(l):
     dom = int(np.argmax(l))
     rot = l[hyperbolic.dominant_last(dom, l.size)]
     rest = math.fsum(rot[:-1].tolist())
-    bound = hyperbolic.axis_bound(float(rot[-1]), rest)
+    bound = euclidean.linear_root(float(rot[-1]), rest)
     assert phi_root_bisect(rot, 1e-3 * bound, bound) <= bound <= euclidean.far_radius(float(rot[-1]), rest)
 
 

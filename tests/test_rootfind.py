@@ -219,7 +219,7 @@ class TestEachPointOnce:
         ids=["1e-300", "1e200"],
     )
     def test_phi_budget_at_extreme_scales(self, monkeypatch, lengths, budget):
-        # the upper end is hyperbolic.axis_bound, which scales with the sides, and
+        # the upper end is euclidean.linear_root, which scales with the sides, and
         # the lower end halves from it: halving from 1 alone would take about
         # 1,000 evaluations at 1e-300
         points = self._record(monkeypatch)
@@ -378,3 +378,14 @@ class TestMpmathOracle:
             ref = self._phi_root(l, 1.5, mpmath.mp)
             got = minkowski.solve_minkowski(l).radius
             assert abs(mpmath.mpf(got) / ref - 1) <= 1e-14
+
+    def test_spacetime_radius_at_the_default_tolerance(self):
+        # the Phi step takes bisect_newton's default rel_tol: at 1e-12 this
+        # radius stopped 6.6e-15 from its root, at the default 1.5e-15
+        mpmath = pytest.importorskip("mpmath")
+        l = np.array([0.2605332759892494, 3.6631359118270557, 3.3738181213511256])
+        rot = l[hyperbolic.dominant_last(1, l.size)]
+        with mpmath.workdps(50):
+            ref = self._phi_root(rot, rot.max() / 2, mpmath.mp)
+            got = minkowski.solve_minkowski(l).radius
+            assert abs(mpmath.mpf(got) / ref - 1) <= 4e-15

@@ -176,9 +176,9 @@ class TestKLDivergence:
 
 
 class TestRatioInverses:
-    """sin_ratio_inverse and sinh_ratio_inverse against 50-digit roots of
-    x / sin x = a / b and sinh(x) / x = a / b, from a ratio within an ulp of 1
-    up to the ends of their ranges."""
+    """tail_root against 50-digit roots of x / sin x = b / a (a < b) and
+    sinh(x) / x = a / b (a > b), the levels at which T(x) = s x, from a ratio
+    within an ulp of 1 up to the ends of their ranges."""
 
     @staticmethod
     def _check(inverse, ratio, top: float, seed: int):
@@ -197,16 +197,17 @@ class TestRatioInverses:
                 assert inverse(a, b) == pytest.approx(float(lo), rel=8e-16, abs=0), (a, b)
 
     def test_sin_ratio_inverse(self):
-        self._check(specfun.sin_ratio_inverse, lambda mp, x: x / mp.sin(x), math.pi / 2 - 1 - 1e-6, 0)
+        inverse = lambda a, b: specfun.tail_root(b, a)  # the circle: the smaller first
+        self._check(inverse, lambda mp, x: x / mp.sin(x), math.pi / 2 - 1 - 1e-6, 0)
 
     def test_sinh_ratio_inverse(self):
-        self._check(specfun.sinh_ratio_inverse, lambda mp, x: mp.sinh(x) / x, 1e200, 1)
+        self._check(specfun.tail_root, lambda mp, x: mp.sinh(x) / x, 1e200, 1)
 
     def test_ends_of_the_ranges(self):
         # past pi/2 by rounding: pi/2; a / b past the float maximum: sinh(x) / x
         # = 1e600 at x - log(2x) = 600 log 10
-        assert specfun.sin_ratio_inverse(math.pi / 2 + 1e-3, 1.0) == math.pi / 2
-        x = specfun.sinh_ratio_inverse(1e300, 1e-300)
+        assert specfun.tail_root(1.0, math.pi / 2 + 1e-3) == math.pi / 2
+        x = specfun.tail_root(1e300, 1e-300)
         assert x - math.log(2.0 * x) == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
 
 
